@@ -1,0 +1,480 @@
+"""Sandpile dynamics on the complete bipartite graph K0_{m,n}.
+
+The graph has m top vertices v^t_1..v^t_m, one extra top vertex acting as
+the sink, and n bottom vertices v^b_1..v^b_n.  Every top vertex is joined
+to every bottom vertex, so a top vertex has degree n and a bottom vertex
+degree m+1 (the sink counts, but grains sent to it vanish).
+
+Two toppling rules are supported: deterministic (asm), where an unstable
+vertex sends one grain to each neighbour, and stochastic (ssm), where each
+neighbour receives a grain with probability p, independently.  Stochastic
+runs are reproducible because every coin flip is a committed bit: a pure
+function of (seed, p, vertex, firing index, neighbour).  That also makes
+the outcome independent of the order in which vertices are toppled, for
+both rules.
+"""
+from __future__ import annotations
+
+import heapq
+from collections import Counter, deque
+from dataclasses import dataclass
+from typing import Iterator
+
+from ._prf import DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, prf64
+from .errors import TopplingStallError
+
+MODELS = ("asm", "ssm")
+POLICIES = ("fifo", "lifo", "min-index")
+
+
+@dataclass(frozen=True)
+class BipartiteShape:
+    """Vertex counts (m top, n bottom) of K0_{m,n}; the sink is implicit."""
+
+    m: int
+    n: int
+
+    def __post_init__(self):
+        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+            raise ValueError("shape entries must be integers")
+        if self.m < 0 or self.n < 1:
+            raise ValueError(f"need m >= 0 and n >= 1, got ({self.m}, {self.n})")
+
+    @property
+    def top_degree(self) -> int:
+        return self.n
+
+    @property
+    def bottom_degree(self) -> int:
+        return self.m + 1
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """A vertex address: side 'top', 'bottom', or 'sink', with a 1-based index."""
+
+    side: str
+    index: int = 0
+
+    def __post_init__(self):
+        if self.side not in ("top", "bottom", "sink"):
+            raise ValueError(f"unknown side {self.side!r}")
+        if self.side != "sink" and self.index < 1:
+            raise ValueError("vertex index is 1-based")
+
+
+def _vertex_code(v: Vertex) -> int:
+    # Injective encoding shared with the oracle key space: sink 0,
+    # top i -> 2i, bottom j -> 2j+1.
+    if v.side == "sink":
+        return 0
+    if v.side == "top":
+        return 2 * v.index
+    return 2 * v.index + 1
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """Grain counts on the non-sink vertices; immutable and hashable."""
+
+    shape: BipartiteShape
+    top: tuple
+    bottom: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "top", tuple(self.top))
+        object.__setattr__(self, "bottom", tuple(self.bottom))
+        if len(self.top) != self.shape.m or len(self.bottom) != self.shape.n:
+            raise ValueError("grain vectors do not match the shape")
+        if (self.top and min(self.top) < 0) or min(self.bottom) < 0:
+            raise ValueError("grain counts must be non-negative")
+
+    @classmethod
+    def from_vectors(cls, top, bottom) -> "Configuration":
+        """Build a configuration, inferring the shape from the vector lengths."""
+        top = tuple(top)
+        bottom = tuple(bottom)
+        return cls(BipartiteShape(len(top), len(bottom)), top, bottom)
+
+    @classmethod
+    def zero(cls, shape: BipartiteShape) -> "Configuration":
+        return cls(shape, (0,) * shape.m, (0,) * shape.n)
+
+    @classmethod
+    def from_text(cls, text: str) -> "Configuration":
+        """Parse 'TOP;BOTTOM' with comma-separated entries, e.g. '2,1;0,2'.
+
+        An empty top side (m = 0) is written with nothing before the
+        semicolon, e.g. ';2'.
+        """
+        if text.count(";") != 1:
+            raise ValueError(f"expected one ';' in configuration text {text!r}")
+        top_s, bottom_s = text.split(";")
+        try:
+            top = tuple(int(x) for x in top_s.split(",")) if top_s.strip() else ()
+            bottom = tuple(int(x) for x in bottom_s.split(","))
+        except ValueError:
+            raise ValueError(f"malformed configuration text {text!r}") from None
+        return cls.from_vectors(top, bottom)
+
+    def to_text(self) -> str:
+        return "{};{}".format(
+            ",".join(map(str, self.top)), ",".join(map(str, self.bottom))
+        )
+
+    @classmethod
+    def from_json_dict(cls, obj) -> "Configuration":
+        if not isinstance(obj, dict) or set(obj) - {"top", "bottom"}:
+            raise ValueError("expected an object with 'top' and 'bottom' lists")
+        try:
+            top = tuple(obj.get("top", []))
+            bottom = tuple(obj["bottom"])
+        except (TypeError, KeyError):
+            raise ValueError("malformed configuration object") from None
+        for x in top + bottom:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"grain counts must be integers, got {x!r}")
+        return cls.from_vectors(top, bottom)
+
+    def to_json_dict(self) -> dict:
+        return {"top": list(self.top), "bottom": list(self.bottom)}
+
+    @property
+    def is_stable(self) -> bool:
+        n, degb = self.shape.n, self.shape.m + 1
+        return (not self.top or max(self.top) < n) and max(self.bottom) < degb
+
+    @property
+    def is_sorted(self) -> bool:
+        t, b = self.top, self.bottom
+        return all(t[i] <= t[i + 1] for i in range(len(t) - 1)) and all(
+            b[j] <= b[j + 1] for j in range(len(b) - 1)
+        )
+
+    @property
+    def total(self) -> int:
+        return sum(self.top) + sum(self.bottom)
+
+
+def is_stable(c: Configuration) -> bool:
+    """True iff every top entry is < n and every bottom entry is < m+1."""
+    return c.is_stable
+
+
+@dataclass(frozen=True)
+class ToppleOracle:
+    """Committed Bernoulli(p) bits keyed by (vertex, firing index, neighbour).
+
+    The bit for a key is a pure function of (seed, p, key), so re-querying a
+    key always gives the same answer.  This makes stochastic stabilization a
+    deterministic function of (configuration, oracle) and, in particular,
+    independent of the toppling order.
+    """
+
+    seed: int
+    p: float = 0.5
+
+    def __post_init__(self):
+        if not (0.0 < self.p <= 1.0):
+            raise ValueError(f"p must lie in (0, 1], got {self.p}")
+        # p scales exactly by 2^64 in binary floating point
+        object.__setattr__(self, "_threshold", int(self.p * 2.0**64))
+
+    def bit(self, vertex_code: int, firing: int, neighbor_code: int) -> int:
+        x = prf64(self.seed, DOMAIN_BIT, vertex_code, firing, neighbor_code)
+        return 1 if x < self._threshold else 0
+
+
+def _check_topple_target(c: Configuration, v: Vertex) -> None:
+    if v.side == "sink":
+        raise ValueError("the sink never topples")
+    m, n = c.shape.m, c.shape.n
+    if v.side == "top":
+        if v.index > m:
+            raise ValueError(f"top index {v.index} out of range for m={m}")
+        if c.top[v.index - 1] < n:
+            raise ValueError(f"vertex {v} is stable and cannot topple")
+    else:
+        if v.index > n:
+            raise ValueError(f"bottom index {v.index} out of range for n={n}")
+        if c.bottom[v.index - 1] < m + 1:
+            raise ValueError(f"vertex {v} is stable and cannot topple")
+
+
+def topple_deterministic(c: Configuration, v: Vertex) -> Configuration:
+    """Topple one unstable vertex: one grain to each neighbour, sink grains vanish."""
+    _check_topple_target(c, v)
+    m, n = c.shape.m, c.shape.n
+    top = list(c.top)
+    bottom = list(c.bottom)
+    if v.side == "top":
+        top[v.index - 1] -= n
+        for j in range(n):
+            bottom[j] += 1
+    else:
+        bottom[v.index - 1] -= m + 1
+        for i in range(m):
+            top[i] += 1
+    return Configuration(c.shape, tuple(top), tuple(bottom))
+
+
+def topple_stochastic(
+    c: Configuration, v: Vertex, oracle: ToppleOracle, firing_index: int
+) -> Configuration:
+    """Topple one unstable vertex stochastically using committed oracle bits.
+
+    For each neighbour a bit decides whether one grain moves there; the
+    vertex keeps the grains whose bits are 0.  Bits are queried sink first
+    (for bottom vertices), then neighbours in ascending index order.
+    """
+    _check_topple_target(c, v)
+    m, n = c.shape.m, c.shape.n
+    top = list(c.top)
+    bottom = list(c.bottom)
+    vcode = _vertex_code(v)
+    moved = 0
+    if v.side == "top":
+        for j in range(1, n + 1):
+            if oracle.bit(vcode, firing_index, 2 * j + 1):
+                bottom[j - 1] += 1
+                moved += 1
+        top[v.index - 1] -= moved
+    else:
+        moved += oracle.bit(vcode, firing_index, 0)  # sink grain vanishes
+        for i in range(1, m + 1):
+            if oracle.bit(vcode, firing_index, 2 * i):
+                top[i - 1] += 1
+                moved += 1
+        bottom[v.index - 1] -= moved
+    return Configuration(c.shape, tuple(top), tuple(bottom))
+
+
+def _make_worklist(policy: str):
+    if policy == "fifo":
+        pending = deque()
+        return pending, pending.append, pending.popleft
+    if policy == "lifo":
+        pending = []
+        return pending, pending.append, pending.pop
+    if policy == "min-index":
+        pending = []
+        return pending, lambda s: heapq.heappush(pending, s), lambda: heapq.heappop(pending)
+    raise ValueError(f"unknown toppling policy {policy!r}")
+
+
+def stabilize_deterministic(
+    c: Configuration, policy: str = "fifo"
+) -> tuple[Configuration, tuple[tuple, tuple]]:
+    """Topple until stable; returns (stable configuration, firing counts).
+
+    The result does not depend on the policy; the policy only fixes the
+    internal order so firing traces are reproducible.
+    """
+    m, n = c.shape.m, c.shape.n
+    top = list(c.top)
+    bottom = list(c.bottom)
+    fires_t = [0] * m
+    fires_b = [0] * n
+    degb = m + 1
+    pending, push, pop = _make_worklist(policy)
+    inq = bytearray(m + n)
+    for i in range(m):
+        if top[i] >= n:
+            push(i)
+            inq[i] = 1
+    for j in range(n):
+        if bottom[j] >= degb:
+            push(m + j)
+            inq[m + j] = 1
+    while pending:
+        s = pop()
+        inq[s] = 0
+        if s < m:
+            top[s] -= n
+            fires_t[s] += 1
+            for j in range(n):
+                bottom[j] += 1
+                if bottom[j] >= degb and not inq[m + j]:
+                    push(m + j)
+                    inq[m + j] = 1
+            if top[s] >= n:
+                push(s)
+                inq[s] = 1
+        else:
+            j = s - m
+            bottom[j] -= degb
+            fires_b[j] += 1
+            for i in range(m):
+                top[i] += 1
+                if top[i] >= n and not inq[i]:
+                    push(i)
+                    inq[i] = 1
+            if bottom[j] >= degb:
+                push(s)
+                inq[s] = 1
+    stable = Configuration(c.shape, tuple(top), tuple(bottom))
+    return stable, (tuple(fires_t), tuple(fires_b))
+
+
+def stabilize_stochastic(
+    c: Configuration,
+    oracle: ToppleOracle,
+    policy: str = "fifo",
+    max_firings: int = 10**9,
+) -> tuple[Configuration, tuple[tuple, tuple]]:
+    """Stochastically topple until stable; returns (configuration, firing counts).
+
+    A firing may move zero grains (all bits 0); the vertex is then re-queued
+    with the next firing index, so each firing consumes fresh bits.  To
+    avoid hanging on adversarial oracles, more than max_firings total
+    firings raises TopplingStallError.  Termination is almost sure for any
+    p > 0.
+    """
+    m, n = c.shape.m, c.shape.n
+    top = list(c.top)
+    bottom = list(c.bottom)
+    fires_t = [0] * m
+    fires_b = [0] * n
+    degb = m + 1
+    pending, push, pop = _make_worklist(policy)
+    inq = bytearray(m + n)
+    for i in range(m):
+        if top[i] >= n:
+            push(i)
+            inq[i] = 1
+    for j in range(n):
+        if bottom[j] >= degb:
+            push(m + j)
+            inq[m + j] = 1
+    total = 0
+    obit = oracle.bit
+    while pending:
+        total += 1
+        if total > max_firings:
+            raise TopplingStallError(
+                f"no stable state after {max_firings} firings on "
+                f"K0_{{{m},{n}}} (p={oracle.p}); {len(pending) + 1} vertices still unstable"
+            )
+        s = pop()
+        inq[s] = 0
+        if s < m:
+            firing = fires_t[s]
+            fires_t[s] = firing + 1
+            vcode = 2 * (s + 1)
+            moved = 0
+            for j in range(n):
+                if obit(vcode, firing, 2 * (j + 1) + 1):
+                    bottom[j] += 1
+                    moved += 1
+                    if bottom[j] >= degb and not inq[m + j]:
+                        push(m + j)
+                        inq[m + j] = 1
+            top[s] -= moved
+            if top[s] >= n:
+                push(s)
+                inq[s] = 1
+        else:
+            j = s - m
+            firing = fires_b[j]
+            fires_b[j] = firing + 1
+            vcode = 2 * (j + 1) + 1
+            moved = obit(vcode, firing, 0)
+            for i in range(m):
+                if obit(vcode, firing, 2 * (i + 1)):
+                    top[i] += 1
+                    moved += 1
+                    if top[i] >= n and not inq[i]:
+                        push(i)
+                        inq[i] = 1
+            bottom[j] -= moved
+            if bottom[j] >= degb:
+                push(s)
+                inq[s] = 1
+    stable = Configuration(c.shape, tuple(top), tuple(bottom))
+    return stable, (tuple(fires_t), tuple(fires_b))
+
+
+def add_grain(c: Configuration, v: Vertex) -> Configuration:
+    """Return c with one extra grain at the non-sink vertex v."""
+    if v.side == "sink":
+        raise ValueError("grains are only added at non-sink vertices")
+    m, n = c.shape.m, c.shape.n
+    if v.side == "top":
+        if v.index > m:
+            raise ValueError(f"top index {v.index} out of range for m={m}")
+        top = list(c.top)
+        top[v.index - 1] += 1
+        return Configuration(c.shape, tuple(top), c.bottom)
+    if v.index > n:
+        raise ValueError(f"bottom index {v.index} out of range for n={n}")
+    bottom = list(c.bottom)
+    bottom[v.index - 1] += 1
+    return Configuration(c.shape, c.top, tuple(bottom))
+
+
+def markov_step(
+    model: str,
+    c: Configuration,
+    v: Vertex,
+    oracle: ToppleOracle | None = None,
+    policy: str = "fifo",
+) -> Configuration:
+    """One step of the grain-addition chain: add a grain at v, then stabilize."""
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    if not c.is_stable:
+        raise ValueError("markov_step starts from a stable configuration")
+    bumped = add_grain(c, v)
+    if model == "asm":
+        return stabilize_deterministic(bumped, policy)[0]
+    if oracle is None:
+        raise ValueError("ssm steps need a ToppleOracle")
+    return stabilize_stochastic(bumped, oracle, policy)[0]
+
+
+def trajectory(
+    model: str,
+    shape: BipartiteShape,
+    steps: int,
+    seed: int,
+    p: float = 0.5,
+    policy: str = "fifo",
+) -> Iterator[Configuration]:
+    """Yield the chain's stable state at times 0..steps, starting from all zeros.
+
+    The grain-landing vertex at each step is drawn from the seed via a key
+    domain disjoint from the oracle bits, and each ssm step stabilizes with
+    a fresh child oracle derived from (seed, step), so the whole run is a
+    pure function of the arguments.
+    """
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    m, n = shape.m, shape.n
+    state = Configuration.zero(shape)
+    yield state
+    for t in range(1, steps + 1):
+        r = prf64(seed, DOMAIN_CHOICE, t) % (m + n)
+        v = Vertex("top", r + 1) if r < m else Vertex("bottom", r - m + 1)
+        oracle = None
+        if model == "ssm":
+            oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t), p)
+        state = markov_step(model, state, v, oracle, policy)
+        yield state
+
+
+def simulate(
+    model: str,
+    shape: BipartiteShape,
+    steps: int,
+    seed: int,
+    p: float = 0.5,
+    policy: str = "fifo",
+) -> Counter:
+    """Run the grain-addition chain; returns visit counts over stable states.
+
+    The initial all-zero state at time 0 is included, so counts sum to
+    steps + 1.
+    """
+    return Counter(trajectory(model, shape, steps, seed, p, policy))

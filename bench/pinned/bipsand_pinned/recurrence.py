@@ -1,0 +1,265 @@
+"""Recurrence checks for both sandpile models, in O(m+n) time.
+
+A stable configuration is recurrent exactly when the sorted bottom side
+dominates the k-vector of the top side: prefixwise for the stochastic
+model, rowwise for the deterministic one.  The k-vector entry k_j counts
+the top vertices holding fewer than j grains; it is computed by a counting
+pass, never a comparison sort, so both checks stay linear.  Exhaustive
+forbidden-pair searches over vertex subsets are provided as independent
+oracles for desk-scale cross-validation.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
+
+from .errors import GuardError
+from .model import BipartiteShape, Configuration
+
+# below this many entries the pure-python counting passes win over numpy
+_NP_MIN = 2048
+
+
+def _require_stable(c: Configuration, op: str) -> None:
+    if not c.is_stable:
+        raise ValueError(f"{op} is defined on stable configurations only")
+
+
+def _counting_sorted(values: Sequence[int], bound: int) -> list:
+    """Sort non-negative integers < bound by counting occurrences."""
+    hist = [0] * bound
+    for v in values:
+        hist[v] += 1
+    out = []
+    for v in range(bound):
+        out.extend([v] * hist[v])
+    return out
+
+
+def counts_below(values: Sequence[int], bound: int) -> tuple:
+    """The k-vector: entry j (1-based) counts values strictly below j.
+
+    Entries must lie in [0, bound); the result has length bound, is weakly
+    increasing, and its last entry is len(values).  Computed by one
+    counting pass over the input.
+    """
+    vals = tuple(values)
+    if vals and (min(vals) < 0 or max(vals) >= bound):
+        raise ValueError(f"values must lie in [0, {bound})")
+    hist = [0] * (bound + 1)
+    for v in vals:
+        hist[v] += 1
+    k = []
+    run = 0
+    for j in range(1, bound + 1):
+        run += hist[j - 1]
+        k.append(run)
+    return tuple(k)
+
+
+def _np_check(c: Configuration, rowwise: bool) -> bool:
+    m, n = c.shape.m, c.shape.n
+    top = np.asarray(c.top, dtype=np.int64)
+    bottom = np.asarray(c.bottom, dtype=np.int64)
+    k = np.cumsum(np.bincount(top, minlength=n)[:n]) if m else np.zeros(n, dtype=np.int64)
+    hist_b = np.bincount(bottom, minlength=m + 1)[: m + 1]
+    sorted_b = np.repeat(np.arange(m + 1, dtype=np.int64), hist_b)
+    if rowwise:
+        return bool(np.all(sorted_b >= k))
+    return bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k)))
+
+
+def _small_check(c: Configuration, rowwise: bool) -> bool:
+    m, n = c.shape.m, c.shape.n
+    k = counts_below(c.top, n)
+    sorted_b = _counting_sorted(c.bottom, m + 1)
+    if rowwise:
+        return all(sorted_b[j] >= k[j] for j in range(n))
+    run_b = run_k = 0
+    for j in range(n):
+        run_b += sorted_b[j]
+        run_k += k[j]
+        if run_b < run_k:
+            return False
+    return True
+
+
+def is_stochastically_recurrent(c: Configuration) -> bool:
+    """Burning check for the stochastic model.
+
+    True iff every prefix sum of the sorted bottom side is at least the
+    matching prefix sum of the k-vector.  O(m+n).
+    """
+    _require_stable(c, "is_stochastically_recurrent")
+    if c.shape.m + c.shape.n >= _NP_MIN:
+        return _np_check(c, rowwise=False)
+    return _small_check(c, rowwise=False)
+
+
+def is_deterministically_recurrent(c: Configuration) -> bool:
+    """Burning check for the deterministic model.
+
+    True iff the j-th smallest bottom entry is at least k_j for every j.
+    O(m+n); implies the stochastic check.
+    """
+    _require_stable(c, "is_deterministically_recurrent")
+    if c.shape.m + c.shape.n >= _NP_MIN:
+        return _np_check(c, rowwise=True)
+    return _small_check(c, rowwise=True)
+
+
+def is_recurrent(c: Configuration, model: str) -> bool:
+    """Recurrence under the named model ('asm' or 'ssm')."""
+    if model == "asm":
+        return is_deterministically_recurrent(c)
+    if model == "ssm":
+        return is_stochastically_recurrent(c)
+    raise ValueError(f"unknown model {model!r}")
+
+
+def level(c: Configuration) -> int:
+    """Total grains minus m*n.
+
+    Defined for any configuration; on recurrent ones it ranges over
+    [0, m(n-1)].  For stable inputs the equivalent form
+    sum(sorted bottom) - sum(k) is asserted to agree.
+    """
+    m, n = c.shape.m, c.shape.n
+    value = c.total - m * n
+    if c.is_stable:
+        k = counts_below(c.top, n) if m + n < _NP_MIN else None
+        if k is not None:
+            assert value == sum(c.bottom) - sum(k)
+        else:
+            top = np.asarray(c.top, dtype=np.int64)
+            ksum = int(np.cumsum(np.bincount(top, minlength=n)[:n]).sum()) if m else 0
+            assert value == sum(c.bottom) - ksum
+    return value
+
+
+@dataclass(frozen=True)
+class ForbiddenWitness:
+    """Vertex subsets certifying non-recurrence under the given model.
+
+    For 'ssm' the witness satisfies sum of grains over both sets
+    < |top_indices| * |bottom_indices|; for 'asm' the configuration
+    restricted to the induced subgraph is stable.
+    """
+
+    model: str
+    top_indices: tuple
+    bottom_indices: tuple
+
+
+def _lex_subsets(k: int) -> Iterator[tuple]:
+    """Nonempty subsets of [k] as sorted tuples, in lexicographic order."""
+
+    def rec(prefix: list, start: int) -> Iterator[tuple]:
+        for x in range(start, k + 1):
+            prefix.append(x)
+            yield tuple(prefix)
+            yield from rec(prefix, x + 1)
+            prefix.pop()
+
+    return rec([], 1)
+
+
+def _subset_tables(values: Sequence[int]):
+    """All-subset sums, maxima, and sizes, indexed by bitmask."""
+    sums = np.zeros(1, dtype=np.int64)
+    maxs = np.full(1, -1, dtype=np.int64)
+    sizes = np.zeros(1, dtype=np.int64)
+    for v in values:
+        sums = np.concatenate([sums, sums + v])
+        maxs = np.concatenate([maxs, np.maximum(maxs, v)])
+        sizes = np.concatenate([sizes, sizes + 1])
+    return sums, maxs, sizes
+
+
+def _witness_guard(c: Configuration, guard: int) -> None:
+    _require_stable(c, "forbidden witness search")
+    m, n = c.shape.m, c.shape.n
+    if m + n > guard:
+        raise GuardError(
+            f"witness search over 2^(m+n) subsets needs m+n <= {guard}, got {m + n}"
+        )
+
+
+def forbidden_witness_ssm(
+    c: Configuration, guard: int = 24
+) -> Optional[ForbiddenWitness]:
+    """First vertex-subset pair violating the stochastic grain inequality.
+
+    Scans pairs in lexicographic order of (|B|, B, A) over nonempty
+    subsets A of the top side and B of the bottom side; returns None when
+    no pair has grain total below |A|*|B|.  Exhaustive by construction,
+    hence the size guard.
+    """
+    _witness_guard(c, guard)
+    m, n = c.shape.m, c.shape.n
+    if m == 0:
+        return None
+    sums_t, _, sizes_t = _subset_tables(c.top)
+    sums_b, _, sizes_b = _subset_tables(c.bottom)
+    grid = sums_t[:, None] + sums_b[None, :] < sizes_t[:, None] * sizes_b[None, :]
+    grid[0, :] = False
+    grid[:, 0] = False
+    if not grid.any():
+        return None
+    for bsize in range(1, n + 1):
+        for b in combinations(range(1, n + 1), bsize):
+            sb = sum(c.bottom[j - 1] for j in b)
+            for a in _lex_subsets(m):
+                if sum(c.top[i - 1] for i in a) + sb < len(a) * bsize:
+                    return ForbiddenWitness("ssm", a, b)
+    raise AssertionError("subset grid found a violation the ordered scan missed")
+
+
+def forbidden_witness_asm(
+    c: Configuration, guard: int = 24
+) -> Optional[ForbiddenWitness]:
+    """First vertex-subset pair whose induced subgraph is stable.
+
+    A pair (A, B) of nonempty subsets qualifies when every top entry in A
+    is below |B| and every bottom entry in B is below |A|.  Same scan
+    order and guard as the stochastic search.
+    """
+    _witness_guard(c, guard)
+    m, n = c.shape.m, c.shape.n
+    if m == 0:
+        return None
+    _, maxs_t, sizes_t = _subset_tables(c.top)
+    _, maxs_b, sizes_b = _subset_tables(c.bottom)
+    grid = (maxs_t[:, None] < sizes_b[None, :]) & (maxs_b[None, :] < sizes_t[:, None])
+    grid[0, :] = False
+    grid[:, 0] = False
+    if not grid.any():
+        return None
+    for bsize in range(1, n + 1):
+        for b in combinations(range(1, n + 1), bsize):
+            mb = max(c.bottom[j - 1] for j in b)
+            for a in _lex_subsets(m):
+                if max(c.top[i - 1] for i in a) < bsize and mb < len(a):
+                    return ForbiddenWitness("asm", a, b)
+    raise AssertionError("subset grid found a violation the ordered scan missed")
+
+
+def sort_config(c: Configuration) -> Configuration:
+    """The weakly increasing representative of c, by counting sort on each side."""
+    m, n = c.shape.m, c.shape.n
+    bound_t = n if (not c.top or max(c.top) < n) else max(c.top) + 1
+    bound_b = m + 1 if max(c.bottom) <= m else max(c.bottom) + 1
+    if m + n >= _NP_MIN:
+        top = np.asarray(c.top, dtype=np.int64)
+        bottom = np.asarray(c.bottom, dtype=np.int64)
+        st = np.repeat(np.arange(bound_t), np.bincount(top, minlength=bound_t)) if m else top
+        sb = np.repeat(np.arange(bound_b), np.bincount(bottom, minlength=bound_b))
+        return Configuration(c.shape, tuple(int(x) for x in st), tuple(int(x) for x in sb))
+    return Configuration(
+        c.shape,
+        tuple(_counting_sorted(c.top, bound_t)),
+        tuple(_counting_sorted(c.bottom, bound_b)),
+    )
