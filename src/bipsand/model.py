@@ -18,9 +18,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
-from ._prf import DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, prf64
+from ._prf import DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, bits_below, prf64, spread
 from .errors import TopplingStallError
 
 MODELS = ("asm", "ssm")
@@ -61,16 +62,6 @@ class Vertex:
             raise ValueError(f"unknown side {self.side!r}")
         if self.side != "sink" and self.index < 1:
             raise ValueError("vertex index is 1-based")
-
-
-def _vertex_code(v: Vertex) -> int:
-    # Injective encoding shared with the oracle key space: sink 0,
-    # top i -> 2i, bottom j -> 2j+1.
-    if v.side == "sink":
-        return 0
-    if v.side == "top":
-        return 2 * v.index
-    return 2 * v.index + 1
 
 
 @dataclass(frozen=True)
@@ -168,7 +159,8 @@ class ToppleOracle:
     The bit for a key is a pure function of (seed, p, key), so re-querying a
     key always gives the same answer.  This makes stochastic stabilization a
     deterministic function of (configuration, oracle) and, in particular,
-    independent of the toppling order.
+    independent of the toppling order.  The bit is 1 when a 64-bit hash of
+    the key falls below p * 2^64, so p must be at least 2^-64.
     """
 
     seed: int
@@ -178,7 +170,13 @@ class ToppleOracle:
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         # p scales exactly by 2^64 in binary floating point
-        object.__setattr__(self, "_threshold", int(self.p * 2.0**64))
+        threshold = int(self.p * 2.0**64)
+        if threshold == 0:
+            # every bit would be 0 and no firing would ever move a grain
+            raise ValueError(f"p must be at least 2^-64, got {self.p}")
+        object.__setattr__(self, "_threshold", threshold)
+        # every bit key starts with these two words, so fold them once
+        object.__setattr__(self, "_prefix", prf64(self.seed, DOMAIN_BIT))
 
     def bit(self, vertex_code: int, firing: int, neighbor_code: int) -> int:
         x = prf64(self.seed, DOMAIN_BIT, vertex_code, firing, neighbor_code)
@@ -218,6 +216,47 @@ def topple_deterministic(c: Configuration, v: Vertex) -> Configuration:
     return Configuration(c.shape, tuple(top), tuple(bottom))
 
 
+# The stochastic engine addresses vertices by slot: top i sits at slot
+# i-1, bottom j at slot m+j-1 and the sink at slot m+n.
+
+
+def _neighbours(m: int, n: int) -> tuple:
+    """Neighbour slots of a top and of a bottom vertex, in oracle key order:
+    the sink first for a bottom vertex, then neighbours by ascending index."""
+    return range(m, m + n), (m + n, *range(m))
+
+
+def _firing_bits(oracle: ToppleOracle, m: int, n: int):
+    """Return draw(s, firing): the committed bits of that firing of slot s.
+
+    The bits follow _neighbours(m, n) for the side of s.  A stock
+    ToppleOracle's bits are drawn together from its cached key prefix;
+    any other oracle's bit method is called once per bit, in key order.
+    """
+    # Oracle key codes by slot, injective: sink 0, top i -> 2i, bottom j -> 2j+1.
+    codes = [*range(2, 2 * m + 1, 2), *range(3, 2 * n + 2, 2), 0]
+    top_nb, bottom_nb = _neighbours(m, n)
+    if getattr(type(oracle), "bit", None) is ToppleOracle.bit:
+        prefix, threshold = oracle._prefix, oracle._threshold
+        top_words = [spread(codes[t]) for t in top_nb]
+        bottom_words = [spread(codes[t]) for t in bottom_nb]
+
+        def draw(s, firing):
+            return bits_below(prefix, codes[s], firing,
+                              top_words if s < m else bottom_words, threshold)
+
+    else:
+        obit = oracle.bit
+        top_codes = [codes[t] for t in top_nb]
+        bottom_codes = [codes[t] for t in bottom_nb]
+
+        def draw(s, firing):
+            v = codes[s]
+            return [obit(v, firing, u) for u in (top_codes if s < m else bottom_codes)]
+
+    return draw
+
+
 def topple_stochastic(
     c: Configuration, v: Vertex, oracle: ToppleOracle, firing_index: int
 ) -> Configuration:
@@ -229,24 +268,16 @@ def topple_stochastic(
     """
     _check_topple_target(c, v)
     m, n = c.shape.m, c.shape.n
-    top = list(c.top)
-    bottom = list(c.bottom)
-    vcode = _vertex_code(v)
+    s = v.index - 1 if v.side == "top" else m + v.index - 1
+    grains = [*c.top, *c.bottom, 0]
+    top_nb, bottom_nb = _neighbours(m, n)
+    bits = _firing_bits(oracle, m, n)(s, firing_index)
     moved = 0
-    if v.side == "top":
-        for j in range(1, n + 1):
-            if oracle.bit(vcode, firing_index, 2 * j + 1):
-                bottom[j - 1] += 1
-                moved += 1
-        top[v.index - 1] -= moved
-    else:
-        moved += oracle.bit(vcode, firing_index, 0)  # sink grain vanishes
-        for i in range(1, m + 1):
-            if oracle.bit(vcode, firing_index, 2 * i):
-                top[i - 1] += 1
-                moved += 1
-        bottom[v.index - 1] -= moved
-    return Configuration(c.shape, tuple(top), tuple(bottom))
+    for t in compress(top_nb if s < m else bottom_nb, bits):
+        grains[t] += 1
+        moved += 1
+    grains[s] -= moved
+    return Configuration(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
 
 
 def _make_worklist(policy: str):
@@ -331,67 +362,43 @@ def stabilize_stochastic(
     p > 0.
     """
     m, n = c.shape.m, c.shape.n
-    top = list(c.top)
-    bottom = list(c.bottom)
-    fires_t = [0] * m
-    fires_b = [0] * n
-    degb = m + 1
+    grains = [*c.top, *c.bottom, 0]
+    deg = [n] * m + [m + 1] * n + [0]
+    fires = [0] * (m + n)
     pending, push, pop = _make_worklist(policy)
-    inq = bytearray(m + n)
-    for i in range(m):
-        if top[i] >= n:
-            push(i)
-            inq[i] = 1
-    for j in range(n):
-        if bottom[j] >= degb:
-            push(m + j)
-            inq[m + j] = 1
+    inq = bytearray(m + n) + b"\x01"  # the sink is never queued
+    for s in range(m + n):
+        if grains[s] >= deg[s]:
+            push(s)
+            inq[s] = 1
+    top_nb, bottom_nb = _neighbours(m, n)
+    draw = _firing_bits(oracle, m, n)
     total = 0
-    obit = oracle.bit
     while pending:
         total += 1
         if total > max_firings:
             raise TopplingStallError(
                 f"no stable state after {max_firings} firings on "
-                f"K0_{{{m},{n}}} (p={oracle.p}); {len(pending) + 1} vertices still unstable"
+                f"K0_{{{m},{n}}} (p={getattr(oracle, 'p', '?')}); "
+                f"{len(pending) + 1} vertices still unstable"
             )
         s = pop()
         inq[s] = 0
-        if s < m:
-            firing = fires_t[s]
-            fires_t[s] = firing + 1
-            vcode = 2 * (s + 1)
-            moved = 0
-            for j in range(n):
-                if obit(vcode, firing, 2 * (j + 1) + 1):
-                    bottom[j] += 1
-                    moved += 1
-                    if bottom[j] >= degb and not inq[m + j]:
-                        push(m + j)
-                        inq[m + j] = 1
-            top[s] -= moved
-            if top[s] >= n:
-                push(s)
-                inq[s] = 1
-        else:
-            j = s - m
-            firing = fires_b[j]
-            fires_b[j] = firing + 1
-            vcode = 2 * (j + 1) + 1
-            moved = obit(vcode, firing, 0)
-            for i in range(m):
-                if obit(vcode, firing, 2 * (i + 1)):
-                    top[i] += 1
-                    moved += 1
-                    if top[i] >= n and not inq[i]:
-                        push(i)
-                        inq[i] = 1
-            bottom[j] -= moved
-            if bottom[j] >= degb:
-                push(s)
-                inq[s] = 1
-    stable = Configuration(c.shape, tuple(top), tuple(bottom))
-    return stable, (tuple(fires_t), tuple(fires_b))
+        firing = fires[s]
+        fires[s] = firing + 1
+        moved = 0
+        for t in compress(top_nb if s < m else bottom_nb, draw(s, firing)):
+            grains[t] += 1
+            moved += 1
+            if grains[t] >= deg[t] and not inq[t]:
+                push(t)
+                inq[t] = 1
+        grains[s] -= moved
+        if grains[s] >= deg[s]:
+            push(s)
+            inq[s] = 1
+    stable = Configuration(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
+    return stable, (tuple(fires[:m]), tuple(fires[m:]))
 
 
 def add_grain(c: Configuration, v: Vertex) -> Configuration:

@@ -75,6 +75,22 @@ class TestStabilize:
         )
         assert code == 2
 
+    def test_probability_below_resolution(self, capsys):
+        # every bit would be 0, so stabilization could never end
+        code, out, err = run(
+            capsys, "stabilize", "5;0", "--model", "ssm", "--p", "1e-300"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "2^-64" in err
+
+    def test_readme_seeded_example(self, capsys):
+        code, out, _ = run(
+            capsys, "stabilize", "2,1;0,2", "--model", "ssm", "--seed", "5", "--p", "0.5"
+        )
+        assert code == 0
+        assert out.splitlines() == ["1,0;1,2", "firings: 1,1;0,1"]
+
 
 class TestSimulate:
     def test_histogram(self, capsys):
