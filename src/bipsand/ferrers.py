@@ -95,14 +95,13 @@ def add(diagram: FerrersDiagram, row: int) -> FerrersDiagram:
 def legal_shifts(diagram: FerrersDiagram) -> Iterator[tuple]:
     """All (from_row, to_row) pairs whose shift keeps the diagram valid."""
     rows = diagram.rows
-    n = len(rows)
-    for p in range(2, n + 1):
-        for q in range(1, p):
-            try:
-                shift(diagram, p, q)
-            except ValueError:
-                continue
-            yield (p, q)
+    for p in range(2, len(rows) + 1):
+        if rows[p - 1] > rows[p - 2]:  # row p can give a cell
+            for q in range(1, p - 1):
+                if rows[q - 1] < rows[q]:  # row q can take one
+                    yield (p, q)
+            if rows[p - 1] - rows[p - 2] >= 2:  # between adjacent rows the gap closes from both ends
+                yield (p, p - 1)
 
 
 def legal_adds(diagram: FerrersDiagram) -> Iterator[int]:

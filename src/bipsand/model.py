@@ -12,12 +12,17 @@ runs are reproducible because every coin flip is a committed bit: a pure
 function of (seed, p, vertex, firing index, neighbour).  That also makes
 the outcome independent of the order in which vertices are toppled, for
 both rules.
+
+asm is ssm with every bit equal to 1, so both rules run on one worklist
+engine, _stabilize; under asm it draws no bit at all.
 """
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from typing import Iterator
 
@@ -183,7 +188,8 @@ class ToppleOracle:
         return 1 if x < self._threshold else 0
 
 
-def _check_topple_target(c: Configuration, v: Vertex) -> None:
+def _topple_slot(c: Configuration, v: Vertex) -> int:
+    """The engine slot of v, once v is checked to be a vertex of c that can topple."""
     if v.side == "sink":
         raise ValueError("the sink never topples")
     m, n = c.shape.m, c.shape.n
@@ -192,38 +198,23 @@ def _check_topple_target(c: Configuration, v: Vertex) -> None:
             raise ValueError(f"top index {v.index} out of range for m={m}")
         if c.top[v.index - 1] < n:
             raise ValueError(f"vertex {v} is stable and cannot topple")
-    else:
-        if v.index > n:
-            raise ValueError(f"bottom index {v.index} out of range for n={n}")
-        if c.bottom[v.index - 1] < m + 1:
-            raise ValueError(f"vertex {v} is stable and cannot topple")
+        return v.index - 1
+    if v.index > n:
+        raise ValueError(f"bottom index {v.index} out of range for n={n}")
+    if c.bottom[v.index - 1] < m + 1:
+        raise ValueError(f"vertex {v} is stable and cannot topple")
+    return m + v.index - 1
 
 
-def topple_deterministic(c: Configuration, v: Vertex) -> Configuration:
-    """Topple one unstable vertex: one grain to each neighbour, sink grains vanish."""
-    _check_topple_target(c, v)
-    m, n = c.shape.m, c.shape.n
-    top = list(c.top)
-    bottom = list(c.bottom)
-    if v.side == "top":
-        top[v.index - 1] -= n
-        for j in range(n):
-            bottom[j] += 1
-    else:
-        bottom[v.index - 1] -= m + 1
-        for i in range(m):
-            top[i] += 1
-    return Configuration(c.shape, tuple(top), tuple(bottom))
+# The engine addresses vertices by slot: top i sits at slot i-1, bottom j
+# at slot m+j-1 and the sink at slot m+n.
 
 
-# The stochastic engine addresses vertices by slot: top i sits at slot
-# i-1, bottom j at slot m+j-1 and the sink at slot m+n.
-
-
+@lru_cache(maxsize=64)
 def _neighbours(m: int, n: int) -> tuple:
     """Neighbour slots of a top and of a bottom vertex, in oracle key order:
     the sink first for a bottom vertex, then neighbours by ascending index."""
-    return range(m, m + n), (m + n, *range(m))
+    return tuple(range(m, m + n)), (m + n, *range(m))
 
 
 def _firing_bits(oracle: ToppleOracle, m: int, n: int):
@@ -257,6 +248,23 @@ def _firing_bits(oracle: ToppleOracle, m: int, n: int):
     return draw
 
 
+def _topple(c: Configuration, s: int, draw, firing: int) -> Configuration:
+    """Fire slot s once; draw is None under asm, where every bit is 1."""
+    m, n = c.shape.m, c.shape.n
+    nbs = _neighbours(m, n)[s >= m]
+    got = nbs if draw is None else list(compress(nbs, draw(s, firing)))
+    grains = [*c.top, *c.bottom, 0]
+    for t in got:
+        grains[t] += 1
+    grains[s] -= len(got)
+    return Configuration(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
+
+
+def topple_deterministic(c: Configuration, v: Vertex) -> Configuration:
+    """Topple one unstable vertex: one grain to each neighbour, sink grains vanish."""
+    return _topple(c, _topple_slot(c, v), None, 0)
+
+
 def topple_stochastic(
     c: Configuration, v: Vertex, oracle: ToppleOracle, firing_index: int
 ) -> Configuration:
@@ -266,18 +274,8 @@ def topple_stochastic(
     vertex keeps the grains whose bits are 0.  Bits are queried sink first
     (for bottom vertices), then neighbours in ascending index order.
     """
-    _check_topple_target(c, v)
-    m, n = c.shape.m, c.shape.n
-    s = v.index - 1 if v.side == "top" else m + v.index - 1
-    grains = [*c.top, *c.bottom, 0]
-    top_nb, bottom_nb = _neighbours(m, n)
-    bits = _firing_bits(oracle, m, n)(s, firing_index)
-    moved = 0
-    for t in compress(top_nb if s < m else bottom_nb, bits):
-        grains[t] += 1
-        moved += 1
-    grains[s] -= moved
-    return Configuration(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
+    s = _topple_slot(c, v)
+    return _topple(c, s, _firing_bits(oracle, c.shape.m, c.shape.n), firing_index)
 
 
 def _make_worklist(policy: str):
@@ -293,58 +291,67 @@ def _make_worklist(policy: str):
     raise ValueError(f"unknown toppling policy {policy!r}")
 
 
+def _stabilize(c: Configuration, policy: str, draw, max_firings: int, p):
+    """The worklist engine behind both stabilizers.
+
+    draw(s, firing) gives the bits of that firing of slot s, and a firing
+    sends one grain to each neighbour whose bit is 1.  draw is None under
+    asm, where every bit is 1 and none is drawn.  p only labels a stall.
+    """
+    m, n = c.shape.m, c.shape.n
+    degb = m + 1
+    top_nb, bottom_nb = _neighbours(m, n)
+    grains = [*c.top, *c.bottom, 0]
+    fires = [0] * (m + n)
+    pending, push, pop = _make_worklist(policy)
+    inq = bytearray(m + n) + b"\x01"  # the sink is never queued
+    for s in range(m + n):
+        if grains[s] >= (n if s < m else degb):
+            push(s)
+            inq[s] = 1
+    if not pending:
+        return c, ((0,) * m, (0,) * n)
+    for _ in range(max_firings):
+        if not pending:
+            break
+        s = pop()
+        inq[s] = 0
+        firing = fires[s]
+        fires[s] = firing + 1
+        # every neighbour of s sits on the other side, so shares one degree
+        if s < m:
+            nbs, deg, nb_deg = top_nb, n, degb
+        else:
+            nbs, deg, nb_deg = bottom_nb, degb, n
+        got = nbs if draw is None else list(compress(nbs, draw(s, firing)))
+        for t in got:
+            grains[t] += 1
+            if grains[t] >= nb_deg and not inq[t]:
+                push(t)
+                inq[t] = 1
+        grains[s] -= len(got)
+        if grains[s] >= deg:
+            push(s)
+            inq[s] = 1
+    if pending:
+        raise TopplingStallError(
+            f"no stable state after {max_firings} firings on "
+            f"K0_{{{m},{n}}} (p={p}); {len(pending)} vertices still unstable"
+        )
+    stable = Configuration(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
+    return stable, (tuple(fires[:m]), tuple(fires[m:]))
+
+
 def stabilize_deterministic(
     c: Configuration, policy: str = "fifo"
 ) -> tuple[Configuration, tuple[tuple, tuple]]:
     """Topple until stable; returns (stable configuration, firing counts).
 
     The result does not depend on the policy; the policy only fixes the
-    internal order so firing traces are reproducible.
+    internal order so firing traces are reproducible.  Every firing moves
+    grains, so no firing budget is needed.
     """
-    m, n = c.shape.m, c.shape.n
-    top = list(c.top)
-    bottom = list(c.bottom)
-    fires_t = [0] * m
-    fires_b = [0] * n
-    degb = m + 1
-    pending, push, pop = _make_worklist(policy)
-    inq = bytearray(m + n)
-    for i in range(m):
-        if top[i] >= n:
-            push(i)
-            inq[i] = 1
-    for j in range(n):
-        if bottom[j] >= degb:
-            push(m + j)
-            inq[m + j] = 1
-    while pending:
-        s = pop()
-        inq[s] = 0
-        if s < m:
-            top[s] -= n
-            fires_t[s] += 1
-            for j in range(n):
-                bottom[j] += 1
-                if bottom[j] >= degb and not inq[m + j]:
-                    push(m + j)
-                    inq[m + j] = 1
-            if top[s] >= n:
-                push(s)
-                inq[s] = 1
-        else:
-            j = s - m
-            bottom[j] -= degb
-            fires_b[j] += 1
-            for i in range(m):
-                top[i] += 1
-                if top[i] >= n and not inq[i]:
-                    push(i)
-                    inq[i] = 1
-            if bottom[j] >= degb:
-                push(s)
-                inq[s] = 1
-    stable = Configuration(c.shape, tuple(top), tuple(bottom))
-    return stable, (tuple(fires_t), tuple(fires_b))
+    return _stabilize(c, policy, None, sys.maxsize, 1.0)
 
 
 def stabilize_stochastic(
@@ -361,44 +368,8 @@ def stabilize_stochastic(
     firings raises TopplingStallError.  Termination is almost sure for any
     p > 0.
     """
-    m, n = c.shape.m, c.shape.n
-    grains = [*c.top, *c.bottom, 0]
-    deg = [n] * m + [m + 1] * n + [0]
-    fires = [0] * (m + n)
-    pending, push, pop = _make_worklist(policy)
-    inq = bytearray(m + n) + b"\x01"  # the sink is never queued
-    for s in range(m + n):
-        if grains[s] >= deg[s]:
-            push(s)
-            inq[s] = 1
-    top_nb, bottom_nb = _neighbours(m, n)
-    draw = _firing_bits(oracle, m, n)
-    total = 0
-    while pending:
-        total += 1
-        if total > max_firings:
-            raise TopplingStallError(
-                f"no stable state after {max_firings} firings on "
-                f"K0_{{{m},{n}}} (p={getattr(oracle, 'p', '?')}); "
-                f"{len(pending) + 1} vertices still unstable"
-            )
-        s = pop()
-        inq[s] = 0
-        firing = fires[s]
-        fires[s] = firing + 1
-        moved = 0
-        for t in compress(top_nb if s < m else bottom_nb, draw(s, firing)):
-            grains[t] += 1
-            moved += 1
-            if grains[t] >= deg[t] and not inq[t]:
-                push(t)
-                inq[t] = 1
-        grains[s] -= moved
-        if grains[s] >= deg[s]:
-            push(s)
-            inq[s] = 1
-    stable = Configuration(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
-    return stable, (tuple(fires[:m]), tuple(fires[m:]))
+    draw = _firing_bits(oracle, c.shape.m, c.shape.n)
+    return _stabilize(c, policy, draw, max_firings, getattr(oracle, "p", "?"))
 
 
 def add_grain(c: Configuration, v: Vertex) -> Configuration:

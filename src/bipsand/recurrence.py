@@ -4,14 +4,16 @@ A stable configuration is recurrent exactly when the sorted bottom side
 dominates the k-vector of the top side: prefixwise for the stochastic
 model, rowwise for the deterministic one.  The k-vector entry k_j counts
 the top vertices holding fewer than j grains; it is computed by a counting
-pass, never a comparison sort, so both checks stay linear.  Exhaustive
-forbidden-pair searches over vertex subsets are provided as independent
-oracles for desk-scale cross-validation.
+pass.  From _NP_MIN entries on, the bottom side is sorted by counting too,
+so both checks stay linear; below that size a comparison sort is faster.
+Exhaustive forbidden-pair searches over vertex subsets are provided as
+independent oracles for desk-scale cross-validation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import ge
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -19,24 +21,14 @@ import numpy as np
 from .errors import GuardError
 from .model import BipartiteShape, Configuration
 
-# below this many entries the pure-python counting passes win over numpy
-_NP_MIN = 2048
+# From this many entries on (m+n) numpy beats pure Python, tuple-to-array
+# conversion included; the two paths tie at about 160 (CHANGES.md has the table).
+_NP_MIN = 192
 
 
 def _require_stable(c: Configuration, op: str) -> None:
     if not c.is_stable:
         raise ValueError(f"{op} is defined on stable configurations only")
-
-
-def _counting_sorted(values: Sequence[int], bound: int) -> list:
-    """Sort non-negative integers < bound by counting occurrences."""
-    hist = [0] * bound
-    for v in values:
-        hist[v] += 1
-    out = []
-    for v in range(bound):
-        out.extend([v] * hist[v])
-    return out
 
 
 def counts_below(values: Sequence[int], bound: int) -> tuple:
@@ -60,31 +52,24 @@ def counts_below(values: Sequence[int], bound: int) -> tuple:
     return tuple(k)
 
 
-def _np_check(c: Configuration, rowwise: bool) -> bool:
+def _check(c: Configuration, rowwise: bool) -> bool:
+    """Dominance of the sorted bottom side over the k-vector: rowwise for
+    asm, prefixwise for ssm.  numpy from _NP_MIN entries on, pure Python below."""
     m, n = c.shape.m, c.shape.n
-    top = np.asarray(c.top, dtype=np.int64)
-    bottom = np.asarray(c.bottom, dtype=np.int64)
-    k = np.cumsum(np.bincount(top, minlength=n)[:n]) if m else np.zeros(n, dtype=np.int64)
-    hist_b = np.bincount(bottom, minlength=m + 1)[: m + 1]
-    sorted_b = np.repeat(np.arange(m + 1, dtype=np.int64), hist_b)
-    if rowwise:
-        return bool(np.all(sorted_b >= k))
-    return bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k)))
-
-
-def _small_check(c: Configuration, rowwise: bool) -> bool:
-    m, n = c.shape.m, c.shape.n
+    if m + n >= _NP_MIN:
+        top = np.asarray(c.top, dtype=np.int64)
+        bottom = np.asarray(c.bottom, dtype=np.int64)
+        k = np.cumsum(np.bincount(top, minlength=n)[:n]) if m else np.zeros(n, dtype=np.int64)
+        hist_b = np.bincount(bottom, minlength=m + 1)[: m + 1]
+        sorted_b = np.repeat(np.arange(m + 1, dtype=np.int64), hist_b)
+        if rowwise:
+            return bool(np.all(sorted_b >= k))
+        return bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k)))
     k = counts_below(c.top, n)
-    sorted_b = _counting_sorted(c.bottom, m + 1)
+    sorted_b = sorted(c.bottom)
     if rowwise:
-        return all(sorted_b[j] >= k[j] for j in range(n))
-    run_b = run_k = 0
-    for j in range(n):
-        run_b += sorted_b[j]
-        run_k += k[j]
-        if run_b < run_k:
-            return False
-    return True
+        return all(map(ge, sorted_b, k))
+    return all(map(ge, accumulate(sorted_b), accumulate(k)))
 
 
 def is_stochastically_recurrent(c: Configuration) -> bool:
@@ -94,9 +79,7 @@ def is_stochastically_recurrent(c: Configuration) -> bool:
     matching prefix sum of the k-vector.  O(m+n).
     """
     _require_stable(c, "is_stochastically_recurrent")
-    if c.shape.m + c.shape.n >= _NP_MIN:
-        return _np_check(c, rowwise=False)
-    return _small_check(c, rowwise=False)
+    return _check(c, rowwise=False)
 
 
 def is_deterministically_recurrent(c: Configuration) -> bool:
@@ -106,9 +89,7 @@ def is_deterministically_recurrent(c: Configuration) -> bool:
     O(m+n); implies the stochastic check.
     """
     _require_stable(c, "is_deterministically_recurrent")
-    if c.shape.m + c.shape.n >= _NP_MIN:
-        return _np_check(c, rowwise=True)
-    return _small_check(c, rowwise=True)
+    return _check(c, rowwise=True)
 
 
 def is_recurrent(c: Configuration, model: str) -> bool:
@@ -124,20 +105,10 @@ def level(c: Configuration) -> int:
     """Total grains minus m*n.
 
     Defined for any configuration; on recurrent ones it ranges over
-    [0, m(n-1)].  For stable inputs the equivalent form
-    sum(sorted bottom) - sum(k) is asserted to agree.
+    [0, m(n-1)].  On stable input it also equals sum(bottom) - sum(k),
+    the area between the two Ferrers diagrams of c.
     """
-    m, n = c.shape.m, c.shape.n
-    value = c.total - m * n
-    if c.is_stable:
-        k = counts_below(c.top, n) if m + n < _NP_MIN else None
-        if k is not None:
-            assert value == sum(c.bottom) - sum(k)
-        else:
-            top = np.asarray(c.top, dtype=np.int64)
-            ksum = int(np.cumsum(np.bincount(top, minlength=n)[:n]).sum()) if m else 0
-            assert value == sum(c.bottom) - ksum
-    return value
+    return c.total - c.shape.m * c.shape.n
 
 
 @dataclass(frozen=True)
@@ -248,18 +219,9 @@ def forbidden_witness_asm(
 
 
 def sort_config(c: Configuration) -> Configuration:
-    """The weakly increasing representative of c, by counting sort on each side."""
-    m, n = c.shape.m, c.shape.n
-    bound_t = n if (not c.top or max(c.top) < n) else max(c.top) + 1
-    bound_b = m + 1 if max(c.bottom) <= m else max(c.bottom) + 1
-    if m + n >= _NP_MIN:
-        top = np.asarray(c.top, dtype=np.int64)
-        bottom = np.asarray(c.bottom, dtype=np.int64)
-        st = np.repeat(np.arange(bound_t), np.bincount(top, minlength=bound_t)) if m else top
-        sb = np.repeat(np.arange(bound_b), np.bincount(bottom, minlength=bound_b))
-        return Configuration(c.shape, tuple(int(x) for x in st), tuple(int(x) for x in sb))
-    return Configuration(
-        c.shape,
-        tuple(_counting_sorted(c.top, bound_t)),
-        tuple(_counting_sorted(c.bottom, bound_b)),
-    )
+    """The weakly increasing representative of c: each side sorted.
+
+    A comparison sort, so an unstable entry costs nothing beyond its
+    place in the order.
+    """
+    return Configuration(c.shape, tuple(sorted(c.top)), tuple(sorted(c.bottom)))

@@ -277,3 +277,46 @@ class TestVertexChoiceCoverage:
         states = list(trajectory("asm", BipartiteShape(1, 1), 30, seed=4))
         tail = states[10:]
         assert set(tail) <= {cfg("0;1"), cfg("0;0"), cfg("1;0"), cfg("1;1")}
+
+
+class TestOneEngine:
+    """asm is the all-ones case of the stochastic engine and draws no bit."""
+
+    @pytest.fixture
+    def no_bits(self, monkeypatch):
+        import bipsand.model
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("asm drew a bit")
+
+        monkeypatch.setattr(bipsand.model, "prf64", refuse)
+        monkeypatch.setattr(bipsand.model, "bits_below", refuse)
+
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "min-index"])
+    def test_asm_never_draws_bits(self, no_bits, policy):
+        rng = random.Random(23)
+        for _ in range(50):
+            m, n = rng.randint(0, 4), rng.randint(1, 4)
+            top = tuple(rng.randint(0, 3 * n) for _ in range(m))
+            bottom = tuple(rng.randint(0, 3 * m + 3) for _ in range(n))
+            want = oracles.naive_stabilize_asm(top, bottom)
+            got, (ft, fb) = stabilize_deterministic(Configuration.from_vectors(top, bottom), policy)
+            assert (got.top, got.bottom, ft, fb) == want
+        state = Configuration.zero(BipartiteShape(3, 4))
+        for k in range(60):
+            v = Vertex("top", k % 3 + 1) if k % 2 else Vertex("bottom", k % 4 + 1)
+            state = markov_step("asm", state, v, policy=policy)
+            assert state.is_stable
+        assert topple_deterministic(cfg("2,1;0,2"), Vertex("top", 1)).to_text() == "0,1;1,3"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        top=st.lists(st.integers(0, 12), max_size=5),
+        bottom=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+        seed=st.integers(-(2**70), 2**70),
+    )
+    def test_full_probability_matches_deterministic_every_policy(self, top, bottom, seed):
+        c = Configuration.from_vectors(top, bottom)
+        oracle = ToppleOracle(seed, 1.0)
+        for policy in ("fifo", "lifo", "min-index"):
+            assert stabilize_deterministic(c, policy) == stabilize_stochastic(c, oracle, policy)

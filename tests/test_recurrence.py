@@ -21,6 +21,7 @@ from bipsand import (
     level,
     sort_config,
 )
+from bipsand.recurrence import _NP_MIN
 
 
 def cfg(text):
@@ -267,3 +268,77 @@ class TestLargeInstances:
         assert is_stochastically_recurrent(c)
         assert is_deterministically_recurrent(c)
         assert level(c) == m * (n - 1)
+
+
+def stable_configs(sizes):
+    """Stable configurations whose m+n is drawn from sizes."""
+
+    @st.composite
+    def build(draw):
+        total = draw(sizes)
+        m = draw(st.integers(0, total - 1))
+        n = total - m
+        top = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        bottom = draw(st.lists(st.integers(0, m), min_size=n, max_size=n))
+        return Configuration.from_vectors(top, bottom)
+
+    return build()
+
+
+BELOW_NP = st.integers(1, _NP_MIN - 1)
+ABOVE_NP = st.integers(_NP_MIN, 3 * _NP_MIN)
+
+
+class TestOneSizeSwitch:
+    @settings(max_examples=40, deadline=None)
+    @given(c=st.one_of(stable_configs(BELOW_NP), stable_configs(ABOVE_NP)))
+    def test_level_is_ferrers_area_difference(self, c):
+        # level is c.total - m*n; this is its Ferrers-area form
+        assert level(c) == sum(c.bottom) - sum(counts_below(c.top, c.shape.n))
+
+    def test_both_paths_agree_at_the_switch(self):
+        # bottom is the k-vector, less one grain on row i and maybe plus one
+        # on an earlier row h, so every verdict pair occurs on each path
+        rng = random.Random(31)
+        seen = set()
+        for total in (_NP_MIN - 1, _NP_MIN):
+            for m in (1, total // 3, total // 2, total - 1):
+                n = total - m
+                top = [rng.choice((0, rng.randrange(n))) for _ in range(m)]
+                ks = counts_below(top, n)
+                rows = [j for j in range(n) if ks[j] > 0]
+                for i in {rows[0], rows[len(rows) // 2], rows[-1]}:
+                    for h in (None, -1, 0, i - 1):
+                        bs = list(ks)
+                        if h is not None:
+                            bs[i] -= 1
+                            if 0 <= h < i:
+                                bs[h] = min(m, bs[h] + 1)
+                        bs.sort()
+                        bottom = list(bs)
+                        rng.shuffle(bottom)
+                        c = Configuration.from_vectors(top, bottom)
+                        sr = all(sum(bs[: j + 1]) >= sum(ks[: j + 1]) for j in range(n))
+                        dr = all(b >= k for b, k in zip(bs, ks))
+                        assert (is_stochastically_recurrent(c), is_deterministically_recurrent(c)) == (sr, dr)
+                        seen.add((total >= _NP_MIN, sr, dr))
+        assert len(seen) == 6
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), total=ABOVE_NP)
+    def test_sort_config_above_switch(self, data, total):
+        m = data.draw(st.integers(0, total - 1))
+        n = total - m
+        top = data.draw(st.lists(st.integers(0, 3 * n), min_size=m, max_size=m))
+        bottom = data.draw(st.lists(st.integers(0, 3 * m + 3), min_size=n, max_size=n))
+        s = sort_config(Configuration.from_vectors(top, bottom))
+        assert s.top == tuple(sorted(top))
+        assert s.bottom == tuple(sorted(bottom))
+
+    def test_sort_config_huge_unstable_entry(self):
+        # sorting must not allocate anything sized by a grain count
+        c = Configuration.from_vectors((10**12, 0), (3, 10**12, 1))
+        s = sort_config(c)
+        assert s.top == (0, 10**12)
+        assert s.bottom == (1, 3, 10**12)
+        assert sort_config(cfg(";" + str(10**12))).bottom == (10**12,)
