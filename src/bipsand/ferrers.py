@@ -177,6 +177,13 @@ def _check_model(model: str) -> None:
         raise ValueError(f"model must be 'asm' or 'ssm', got {model!r}")
 
 
+def _require_compatible(model: str, first: FerrersDiagram, second: FerrersDiagram) -> None:
+    # asm pairs need rowwise dominance, ssm pairs prefix dominance
+    compatible = is_strongly_compatible if model == "asm" else is_compatible
+    if not compatible(first, second):
+        raise ValueError(f"pair is not {model}-compatible")
+
+
 def config_to_pair(model: str, c: Configuration) -> FerrersPair:
     """Map a sorted recurrent configuration to its diagram pair (F(k), F(bottom)).
 
@@ -209,16 +216,8 @@ def pair_to_config(model: str, pair: FerrersPair) -> Configuration:
         raise ValueError(
             f"second diagram has {second.columns} columns but the first fixes m={m}"
         )
-    compatible = (
-        is_strongly_compatible(first, second)
-        if model == "asm"
-        else is_compatible(first, second)
-    )
-    if not compatible:
-        raise ValueError(f"pair is not {model}-compatible")
-    c = Configuration(BipartiteShape(m, n), _border_top(first, m), second.rows)
-    assert is_recurrent(c, model)
-    return c
+    _require_compatible(model, first, second)
+    return Configuration(BipartiteShape(m, n), _border_top(first, m), second.rows)
 
 
 @dataclass(frozen=True)
@@ -369,13 +368,7 @@ def witness_sequence(
     equals the area difference.
     """
     _check_model(model)
-    compatible = (
-        is_strongly_compatible(first, second)
-        if model == "asm"
-        else is_compatible(first, second)
-    )
-    if not compatible:
-        raise ValueError(f"pair is not {model}-compatible")
+    _require_compatible(model, first, second)
     ops = []
     cur = first
     n = first.n_rows
@@ -391,5 +384,4 @@ def witness_sequence(
         for _ in range(target[r - 1] - cur.rows[r - 1]):
             ops.append(("add", r))
             cur = add(cur, r)
-    assert cur == second
     return ops

@@ -1,4 +1,4 @@
-"""Labelled Motzkin paths and their two routes to recurrent configurations.
+"""Labelled Motzkin paths and their bijection with recurrent configurations.
 
 A word over {U, D, HN, HE} is a labelled Motzkin path when its running
 height (U up, D down, H flat) never dips below zero and ends at zero.  For
@@ -8,18 +8,18 @@ the shape (m, n) the word has length m+n-1, with exactly m steps in
 Pairing the interior steps of a polyomino's two paths (first and last step
 of each dropped) gives the word: (N,E) -> U, (N,N) -> HN, (E,E) -> HE,
 (E,N) -> D; the word is the diagonal-distance profile of the polyomino.
-Direct single-pass conversions to and from sorted deterministically
-recurrent configurations avoid building the polyomino at all, and the
-half-integer area under the word equals the level of the configuration.
+The maps to and from sorted deterministically recurrent configurations go
+through the polyomino, so the triangle of bijections commutes by
+construction.  The half-integer area under the word equals the level of
+the configuration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import BipartiteShape, Configuration
-from .recurrence import is_deterministically_recurrent
-from .polyomino import ParallelogramPolyomino
+from .model import Configuration
+from .polyomino import ParallelogramPolyomino, config_to_polyomino, polyomino_to_config
 
 _TO_CHAR = {"U": "U", "D": "D", "HN": "n", "HE": "e"}
 _FROM_CHAR = {v: k for k, v in _TO_CHAR.items()}
@@ -106,78 +106,10 @@ def motzkin_to_polyomino(w: MotzkinWord) -> ParallelogramPolyomino:
 
 
 def motzkin_to_config(w: MotzkinWord) -> Configuration:
-    """Build the sorted recurrent configuration of a word in one pass.
-
-    Two counters track how many {U, HN} and {U, HE} steps have been seen;
-    each D or H step freezes a counter value into the top or bottom side.
-    The last bottom entry is always m.
-    """
-    tval = bval = 0
-    top = []
-    bottom = []
-    for s in w.steps:
-        if s == "U":
-            tval += 1
-            bval += 1
-        elif s == "HE":
-            top.append(tval)
-            bval += 1
-        elif s == "HN":
-            bottom.append(bval)
-            tval += 1
-        else:
-            top.append(tval)
-            bottom.append(bval)
-    m = len(top)
-    bottom.append(m)
-    c = Configuration(BipartiteShape(m, len(bottom)), tuple(top), tuple(bottom))
-    assert c.is_sorted and is_deterministically_recurrent(c)
-    return c
+    """The sorted recurrent configuration of a word, via its polyomino."""
+    return polyomino_to_config(motzkin_to_polyomino(w))
 
 
 def config_to_motzkin(c: Configuration) -> MotzkinWord:
-    """Build the word of a sorted deterministically recurrent configuration.
-
-    Both sides act as sorted stacks, the top side extended by a sentinel
-    n-1.  While both heads are positive, U steps drain them in lockstep;
-    a zero head pops as HE (top), HN (bottom), or D (both), decrementing
-    the other stack for the H steps.  The trailing D is dropped.  The
-    "decrease all entries" bookkeeping is a lazy per-stack offset, so the
-    whole pass is O(m+n).
-    """
-    if not c.is_sorted:
-        raise ValueError("configuration must be sorted")
-    if not c.is_stable:
-        raise ValueError("configuration must be stable")
-    if not is_deterministically_recurrent(c):
-        raise ValueError("configuration is not deterministically recurrent")
-    m, n = c.shape.m, c.shape.n
-    ts = list(c.top) + [n - 1]
-    bs = list(c.bottom)
-    it = ib = 0
-    off_t = off_b = 0
-    steps = []
-    while it <= m and ib < n:
-        head_t = ts[it] - off_t
-        head_b = bs[ib] - off_b
-        drain = min(head_t, head_b)
-        if drain > 0:
-            steps.extend(["U"] * drain)
-            off_t += drain
-            off_b += drain
-            continue
-        if head_t == 0 and head_b > 0:
-            it += 1
-            off_b += 1
-            steps.append("HE")
-        elif head_b == 0 and head_t > 0:
-            ib += 1
-            off_t += 1
-            steps.append("HN")
-        else:
-            it += 1
-            ib += 1
-            steps.append("D")
-    assert it == m + 1 and ib == n, "stacks must empty together on recurrent input"
-    assert steps and steps[-1] == "D"
-    return MotzkinWord(tuple(steps[:-1]))
+    """The word of a sorted deterministically recurrent configuration, via its polyomino."""
+    return polyomino_to_motzkin(config_to_polyomino(c))

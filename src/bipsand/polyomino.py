@@ -18,68 +18,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import BipartiteShape, Configuration
-from .recurrence import is_deterministically_recurrent
-from .ferrers import FerrersPair, is_strongly_compatible
+from .ferrers import FerrersPair, pair_to_config
 
 
-def _walk(steps: str) -> list:
-    """Lattice points visited by a step string, starting at (0,0)."""
-    x = y = 0
-    pts = [(0, 0)]
-    for s in steps:
-        if s == "E":
-            x += 1
-        else:
-            y += 1
-        pts.append((x, y))
-    return pts
+def _positions(steps: str, mark: str) -> list:
+    """For each `mark` step, left to right, how many other steps precede it.
 
-
-def _e_heights(steps: str) -> list:
-    """Height of the path at each of its E steps, left to right."""
-    y = 0
+    With mark "E" these are the path's heights at its E steps; with mark
+    "N", its x-positions at its N steps.
+    """
+    seen = 0
     out = []
     for s in steps:
-        if s == "N":
-            y += 1
+        if s == mark:
+            out.append(seen)
         else:
-            out.append(y)
+            seen += 1
     return out
 
 
-def _n_positions(steps: str) -> list:
-    """X-position of the path at each of its N steps, bottom to top."""
-    x = 0
-    out = []
-    for s in steps:
-        if s == "E":
-            x += 1
-        else:
-            out.append(x)
-    return out
+def _path(positions, total: int, mark: str) -> str:
+    """The NE path whose `mark` steps occur at the given weakly increasing positions.
 
-
-def _path_with_e_heights(heights, total_height: int) -> str:
-    """The NE path whose E steps occur at the given weakly increasing heights."""
-    cur = 0
-    parts = []
-    for h in heights:
-        parts.append("N" * (h - cur))
-        parts.append("E")
-        cur = h
-    parts.append("N" * (total_height - cur))
-    return "".join(parts)
-
-
-def _path_with_n_positions(positions, total_width: int) -> str:
-    """The NE path whose N steps occur at the given weakly increasing x-positions."""
+    Inverts _positions; `total` is the number of steps of the other kind.
+    """
+    other = "N" if mark == "E" else "E"
     cur = 0
     parts = []
     for x in positions:
-        parts.append("E" * (x - cur))
-        parts.append("N")
+        parts.append(other * (x - cur))
+        parts.append(mark)
         cur = x
-    parts.append("E" * (total_width - cur))
+    parts.append(other * (total - cur))
     return "".join(parts)
 
 
@@ -102,9 +72,13 @@ class ParallelogramPolyomino:
             raise ValueError("upper path must start with N and end with E")
         if lo[0] != "E" or lo[-1] != "N":
             raise ValueError("lower path must start with E and end with N")
-        endpoints = {(0, 0), (up.count("E"), up.count("N"))}
-        if set(_walk(up)) & set(_walk(lo)) != endpoints:
-            raise ValueError("paths may only meet at their endpoints")
+        # After k steps both paths lie on the diagonal x + y = k, so they
+        # meet there exactly when they have taken equally many N steps.
+        gap = 0
+        for u, l in zip(up[:-1], lo):
+            gap += (u == "N") - (l == "N")
+            if not gap:
+                raise ValueError("paths may only meet at their endpoints")
 
     @property
     def box_width(self) -> int:
@@ -116,8 +90,8 @@ class ParallelogramPolyomino:
 
     def area(self) -> int:
         """Number of enclosed cells: columnwise gap between the two paths."""
-        upper_h = _e_heights(self.upper)
-        lower_h = _e_heights(self.lower)
+        upper_h = _positions(self.upper, "E")
+        lower_h = _positions(self.lower, "E")
         return sum(u - l for u, l in zip(upper_h, lower_h))
 
     @classmethod
@@ -141,75 +115,43 @@ class ParallelogramPolyomino:
 def config_to_polyomino(c: Configuration) -> ParallelogramPolyomino:
     """Map a sorted deterministically recurrent configuration to its polyomino.
 
-    The paths are built first and validity is what rejects bad input; the
-    recurrence check is asserted to agree, so every call cross-validates
-    the two characterizations.
+    The paths are built first and their validity is the recurrence check:
+    they bound a polyomino exactly when c is deterministically recurrent.
     """
     if not c.is_sorted:
         raise ValueError("configuration must be sorted")
     if not c.is_stable:
         raise ValueError("configuration must be stable")
     m, n = c.shape.m, c.shape.n
-    upper = _path_with_e_heights([t + 1 for t in c.top] + [n], n)
-    lower = _path_with_n_positions([b + 1 for b in c.bottom], m + 1)
+    upper = _path([t + 1 for t in c.top] + [n], n, "E")
+    lower = _path([b + 1 for b in c.bottom], m + 1, "N")
     try:
-        poly = ParallelogramPolyomino(upper, lower)
+        return ParallelogramPolyomino(upper, lower)
     except ValueError:
-        assert not is_deterministically_recurrent(c)
         raise ValueError(
             "configuration is not deterministically recurrent"
         ) from None
-    assert is_deterministically_recurrent(c)
-    return poly
 
 
 def polyomino_to_config(p: ParallelogramPolyomino) -> Configuration:
     """Invert config_to_polyomino: read the grain counts off the two paths."""
     m = p.box_width - 1
     n = p.box_height
-    heights = _e_heights(p.upper)
-    positions = _n_positions(p.lower)
-    c = Configuration(
+    heights = _positions(p.upper, "E")
+    positions = _positions(p.lower, "N")
+    return Configuration(
         BipartiteShape(m, n),
         tuple(h - 1 for h in heights[:m]),
         tuple(x - 1 for x in positions),
     )
-    assert is_deterministically_recurrent(c)
-    return c
-
-
-def _cells(rows) -> set:
-    return {(col, r + 1) for r, length in enumerate(rows) for col in range(1, length + 1)}
 
 
 def pair_to_polyomino(pair: FerrersPair) -> ParallelogramPolyomino:
-    """Cell-set difference of the padded diagram pair, as a polyomino.
+    """The polyomino of a strongly compatible pair, via its configuration.
 
-    Requires a strongly compatible pair whose first diagram fixes m by its
-    column count.  Equals config_to_polyomino of the configuration the
-    pair stands for.
+    This is config_to_polyomino(pair_to_config("asm", pair)); the first
+    diagram fixes m by its column count.  The result equals the cell-set
+    difference of the padded pair described above; the tests check that
+    identity against an independent construction.
     """
-    first, second = pair.first, pair.second
-    m = first.columns
-    n = first.n_rows
-    if second.columns > m:
-        raise ValueError(
-            f"second diagram has {second.columns} columns but the first fixes m={m}"
-        )
-    if not is_strongly_compatible(first, second):
-        raise ValueError("pair is not strongly compatible")
-    padded_first = (0,) + first.rows[:-1] + (first.rows[-1] + 1,)
-    padded_second = tuple(r + 1 for r in second.rows) + (m + 1,)
-    assert all(f <= s for f, s in zip(padded_first, padded_second))
-    diff = _cells(padded_second) - _cells(padded_first)
-    left = []
-    right = []
-    for r in range(1, n + 1):
-        cols = sorted(col for col, row in diff if row == r)
-        assert cols and cols == list(range(cols[0], cols[-1] + 1))
-        left.append(cols[0] - 1)
-        right.append(cols[-1])
-    assert not any(row == n + 1 for _, row in diff)
-    upper = _path_with_n_positions(left, m + 1)
-    lower = _path_with_n_positions(right, m + 1)
-    return ParallelogramPolyomino(upper, lower)
+    return config_to_polyomino(pair_to_config("asm", pair))

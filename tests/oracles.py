@@ -275,6 +275,46 @@ def polyomino_area(upper, lower):
     return sum(e_heights(upper)) - sum(e_heights(lower))
 
 
+def pair_polyomino_cells(first, second):
+    """Polyomino paths of a strongly compatible diagram pair, from cell sets.
+
+    `first` and `second` are row-length tuples, bottom to top, and m is
+    the first diagram's top row.  Pad the first diagram with an empty
+    bottom row and one extra cell on its top row, pad the second with one
+    cell per row and a full new top row of m+1 cells, and subtract the
+    cell sets.  Each of the n lowest rows of the difference must be one
+    run of cells and the new top row must be empty; the run's left edges
+    are the upper path's N-step x-positions and its right edges the lower
+    path's.  Returns (upper, lower) step strings.
+    """
+    m, n = first[-1], len(first)
+
+    def cells(rows):
+        return {(col, r) for r, length in enumerate(rows, 1) for col in range(1, length + 1)}
+
+    padded_first = (0,) + tuple(first[:-1]) + (m + 1,)
+    padded_second = tuple(r + 1 for r in second) + (m + 1,)
+    diff = cells(padded_second) - cells(padded_first)
+    if any(row == n + 1 for _, row in diff):
+        raise ValueError("the padding row is not covered")
+    left, right = [], []
+    for r in range(1, n + 1):
+        cols = sorted(col for col, row in diff if row == r)
+        if not cols or cols != list(range(cols[0], cols[-1] + 1)):
+            raise ValueError(f"row {r} of the difference is not one run of cells")
+        left.append(cols[0] - 1)
+        right.append(cols[-1])
+
+    def path(n_positions):
+        x, steps = 0, []
+        for pos in n_positions:
+            steps.append("E" * (pos - x) + "N")
+            x = pos
+        return "".join(steps) + "E" * (m + 1 - x)
+
+    return path(left), path(right)
+
+
 # ----------------------------------------------------------------- motzkin
 
 def all_words(m, n):
