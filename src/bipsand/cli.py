@@ -15,6 +15,7 @@ from .enumeration import CSV_HEADER, census, enumerate_recurrent, enumerate_stab
 from .errors import GuardError, TopplingStallError
 from .ferrers import FerrersPair, build_dag, config_to_pair, dag_to_dot, pair_to_config
 from .model import (
+    MODELS,
     BipartiteShape,
     Configuration,
     ToppleOracle,
@@ -25,6 +26,8 @@ from .model import (
 from .motzkin import MotzkinWord, config_to_motzkin, motzkin_to_config
 from .polyomino import ParallelogramPolyomino, config_to_polyomino, polyomino_to_config
 from .recurrence import is_recurrent, level
+
+_FAMILIES = ("ferrers", "polyomino", "motzkin")
 
 
 def _parse_config(text: str) -> Configuration:
@@ -41,15 +44,20 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _emit(args, obj, text) -> None:
+    """Print a result as JSON (obj) or as text, whichever --format asks for."""
+    if args.format == "json":
+        _emit_json(obj)
+    else:
+        print(text)
+
+
 def _cmd_check(args) -> int:
     c = _parse_config(args.config)
     verdict = is_recurrent(c, args.model)
     lvl = level(c)
-    if args.format == "json":
-        _emit_json({"model": args.model, "recurrent": verdict, "level": lvl})
-    else:
-        print(f"recurrent: {'true' if verdict else 'false'}")
-        print(f"level: {lvl}")
+    text = f"recurrent: {'true' if verdict else 'false'}\nlevel: {lvl}"
+    _emit(args, {"model": args.model, "recurrent": verdict, "level": lvl}, text)
     return 0 if verdict else 1
 
 
@@ -58,22 +66,10 @@ def _cmd_stabilize(args) -> int:
     if args.model == "asm":
         stable, (ft, fb) = stabilize_deterministic(c)
     else:
-        oracle = ToppleOracle(args.seed, args.p)
-        stable, (ft, fb) = stabilize_stochastic(c, oracle)
-    if args.format == "json":
-        _emit_json(
-            {
-                "configuration": stable.to_json_dict(),
-                "firings": {"top": list(ft), "bottom": list(fb)},
-            }
-        )
-    else:
-        print(stable.to_text())
-        print(
-            "firings: {};{}".format(
-                ",".join(map(str, ft)), ",".join(map(str, fb))
-            )
-        )
+        stable, (ft, fb) = stabilize_stochastic(c, ToppleOracle(args.seed, args.p))
+    obj = {"configuration": stable.to_json_dict(), "firings": {"top": list(ft), "bottom": list(fb)}}
+    firings = ",".join(map(str, ft)) + ";" + ",".join(map(str, fb))
+    _emit(args, obj, f"{stable.to_text()}\nfirings: {firings}")
     return 0
 
 
@@ -81,28 +77,14 @@ def _cmd_simulate(args) -> int:
     shape = BipartiteShape(args.m, args.n)
     visits = simulate(args.model, shape, args.steps, args.seed, args.p)
     items = sorted(visits.items(), key=lambda kv: (kv[0].top, kv[0].bottom))
-    if args.format == "json":
-        _emit_json(
-            {
-                "visits": [
-                    {"top": list(c.top), "bottom": list(c.bottom), "count": k}
-                    for c, k in items
-                ]
-            }
-        )
-    else:
-        for c, k in items:
-            print(f"{c.to_text()} {k}")
+    rows = [{"top": list(c.top), "bottom": list(c.bottom), "count": k} for c, k in items]
+    _emit(args, {"visits": rows}, "\n".join(f"{c.to_text()} {k}" for c, k in items))
     return 0
 
 
 def _cmd_level(args) -> int:
-    c = _parse_config(args.config)
-    lvl = level(c)
-    if args.format == "json":
-        _emit_json({"level": lvl})
-    else:
-        print(lvl)
+    lvl = level(_parse_config(args.config))
+    _emit(args, {"level": lvl}, lvl)
     return 0
 
 
@@ -113,73 +95,57 @@ def _require_model(args, why: str) -> str:
 
 
 def _cmd_biject(args) -> int:
-    kind = args.to or args.from_
-    payload = args.payload
     if args.to:
-        c = _parse_config(payload)
-        if kind == "ferrers":
+        c = _parse_config(args.payload)
+        if args.to == "ferrers":
             pair = config_to_pair(_require_model(args, "for ferrers pairs"), c)
-            out_text = pair.to_text()
-            out_json = {"first": pair.first.to_text(), "second": pair.second.to_text()}
-        elif kind == "polyomino":
+            obj = {"first": pair.first.to_text(), "second": pair.second.to_text()}
+            _emit(args, obj, pair.to_text())
+        elif args.to == "polyomino":
             poly = config_to_polyomino(c)
-            out_text = poly.to_text()
-            out_json = {"upper": poly.upper, "lower": poly.lower}
+            _emit(args, {"upper": poly.upper, "lower": poly.lower}, poly.to_text())
         else:
             word = config_to_motzkin(c)
-            out_text = word.to_text()
-            out_json = {"word": word.to_text()}
+            _emit(args, {"word": word.to_text()}, word.to_text())
+        return 0
+    if args.from_ == "ferrers":
+        pair = FerrersPair.from_text(args.payload)
+        c = pair_to_config(_require_model(args, "for ferrers pairs"), pair)
+    elif args.from_ == "polyomino":
+        c = polyomino_to_config(ParallelogramPolyomino.from_text(args.payload))
     else:
-        if kind == "ferrers":
-            pair = FerrersPair.from_text(payload)
-            c = pair_to_config(_require_model(args, "for ferrers pairs"), pair)
-        elif kind == "polyomino":
-            c = polyomino_to_config(ParallelogramPolyomino.from_text(payload))
-        else:
-            c = motzkin_to_config(MotzkinWord.from_text(payload))
-        out_text = c.to_text()
-        out_json = c.to_json_dict()
-    if args.format == "json":
-        _emit_json(out_json)
-    else:
-        print(out_text)
+        c = motzkin_to_config(MotzkinWord.from_text(args.payload))
+    _emit(args, c.to_json_dict(), c.to_text())
     return 0
 
 
 def _cmd_dag(args) -> int:
     dag = build_dag(args.model, BipartiteShape(args.m, args.n))
-    dot = dag_to_dot(dag)
+    summary = {"model": dag.model, "vertices": len(dag.vertices), "edges": len(dag.edges)}
+    text = f"vertices: {summary['vertices']}\nedges: {summary['edges']}"
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot)
-    summary = {
-        "model": dag.model,
-        "vertices": len(dag.vertices),
-        "edges": len(dag.edges),
-    }
-    if args.format == "json":
-        if args.dot:
-            summary["dot"] = args.dot
-        _emit_json(summary)
-    else:
-        print(f"vertices: {summary['vertices']}")
-        print(f"edges: {summary['edges']}")
-        if args.dot:
-            print(f"dot written to {args.dot}")
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(dag_to_dot(dag))
+        except OSError as exc:
+            raise ValueError(f"cannot write DOT output: {exc}") from None
+        summary["dot"] = args.dot
+        text += f"\ndot written to {args.dot}"
+    _emit(args, summary, text)
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     shape = BipartiteShape(args.m, args.n)
     if args.recurrent:
-        stream = enumerate_recurrent(
-            shape, _require_model(args, "with --recurrent"), args.sorted
-        )
+        model = _require_model(args, "with --recurrent")
+        stream = enumerate_recurrent(shape, model, args.sorted)
     else:
         stream = enumerate_stable(shape, args.sorted)
     if args.format == "json":
         _emit_json({"configurations": [c.to_json_dict() for c in stream]})
     else:
+        # one line at a time: a listing may run to 10^8 lines
         for c in stream:
             print(c.to_text())
     return 0
@@ -187,25 +153,50 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_census(args) -> int:
     row = census(BipartiteShape(args.m, args.n), args.model, args.sorted)
-    if args.format == "json":
-        _emit_json(
-            {
-                "m": row.m,
-                "n": row.n,
-                "model": row.model,
-                "sorted": row.sorted_only,
-                "count": row.total,
-                "level_poly": row.level_poly(),
-            }
-        )
-    else:
-        print(CSV_HEADER)
-        print(row.to_csv())
+    obj = {
+        "m": row.m, "n": row.n, "model": row.model,
+        "sorted": row.sorted_only, "count": row.total, "level_poly": row.level_poly(),
+    }
+    _emit(args, obj, f"{CSV_HEADER}\n{row.to_csv()}")
     return 0
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+# Arguments shared by several subcommands, as (flag, add_argument keywords).
+_CONFIG = [("config", {})]
+_MODEL = [("--model", {"choices": MODELS, "required": True})]
+_MODEL_IF_NEEDED = [("--model", {"choices": MODELS})]
+_SHAPE = [("--m", {"type": int, "required": True}), ("--n", {"type": int, "required": True})]
+_COINS = [("--seed", {"type": int, "default": 0}), ("--p", {"type": float, "default": 0.5})]
+_SORTED = [("--sorted", {"action": "store_true"})]
+
+# Subcommand -> (handler, help, arguments in usage order).  biject's --to/--from
+# group comes first on its parser, and every parser ends with --format.
+_COMMANDS = {
+    "check": (_cmd_check, "recurrence check for a stable configuration", _CONFIG + _MODEL),
+    "stabilize": (_cmd_stabilize, "topple a configuration until stable", _CONFIG + _MODEL + _COINS),
+    "simulate": (
+        _cmd_simulate,
+        "run the grain-addition chain",
+        _MODEL + _SHAPE + [("--steps", {"type": int, "required": True})] + _COINS,
+    ),
+    "level": (_cmd_level, "grain total minus m*n", _CONFIG),
+    "biject": (
+        _cmd_biject,
+        "translate a configuration to or from a combinatorial family",
+        [("payload", {})] + _MODEL_IF_NEEDED,
+    ),
+    "dag": (
+        _cmd_dag,
+        "build the diagram reachability DAG",
+        _MODEL + _SHAPE + [("--dot", {"help": "write DOT output to this file"})],
+    ),
+    "enumerate": (
+        _cmd_enumerate,
+        "list stable configurations",
+        _SHAPE + _SORTED + [("--recurrent", {"action": "store_true"})] + _MODEL_IF_NEEDED,
+    ),
+    "census": (_cmd_census, "count recurrent configurations by level", _SHAPE + _MODEL + _SORTED),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,78 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sandpile dynamics on complete bipartite graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="recurrence check for a stable configuration")
-    p.add_argument("config")
-    p.add_argument("--model", choices=("asm", "ssm"), required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("stabilize", help="topple a configuration until stable")
-    p.add_argument("config")
-    p.add_argument("--model", choices=("asm", "ssm"), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.5)
-    _add_format(p)
-    p.set_defaults(func=_cmd_stabilize)
-
-    p = sub.add_parser("simulate", help="run the grain-addition chain")
-    p.add_argument("--model", choices=("asm", "ssm"), required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.5)
-    _add_format(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("level", help="grain total minus m*n")
-    p.add_argument("config")
-    _add_format(p)
-    p.set_defaults(func=_cmd_level)
-
-    p = sub.add_parser("biject", help="translate a configuration to or from a combinatorial family")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--to", choices=("ferrers", "polyomino", "motzkin"))
-    group.add_argument(
-        "--from", dest="from_", choices=("ferrers", "polyomino", "motzkin")
-    )
-    p.add_argument("payload")
-    p.add_argument("--model", choices=("asm", "ssm"))
-    _add_format(p)
-    p.set_defaults(func=_cmd_biject)
-
-    p = sub.add_parser("dag", help="build the diagram reachability DAG")
-    p.add_argument("--model", choices=("asm", "ssm"), required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dot", help="write DOT output to this file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_dag)
-
-    p = sub.add_parser("enumerate", help="list stable configurations")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sorted", action="store_true")
-    p.add_argument("--recurrent", action="store_true")
-    p.add_argument("--model", choices=("asm", "ssm"))
-    _add_format(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("census", help="count recurrent configurations by level")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--model", choices=("asm", "ssm"), required=True)
-    p.add_argument("--sorted", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_census)
-
+    for name, (func, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "biject":
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--to", choices=_FAMILIES)
+            group.add_argument("--from", dest="from_", choices=_FAMILIES)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardError as exc:

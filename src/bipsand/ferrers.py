@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
 from .errors import GuardError
-from .model import BipartiteShape, Configuration
+from .model import BipartiteShape, Configuration, _check_model
 from .recurrence import counts_below, is_recurrent
 
 Operation = tuple  # ("shift", from_row, to_row) or ("add", row)
@@ -172,11 +172,6 @@ class FerrersPair:
         return f"{self.first.to_text()}|{self.second.to_text()}"
 
 
-def _check_model(model: str) -> None:
-    if model not in ("asm", "ssm"):
-        raise ValueError(f"model must be 'asm' or 'ssm', got {model!r}")
-
-
 def _require_compatible(model: str, first: FerrersDiagram, second: FerrersDiagram) -> None:
     # asm pairs need rowwise dominance, ssm pairs prefix dominance
     compatible = is_strongly_compatible if model == "asm" else is_compatible
@@ -318,18 +313,12 @@ def build_dag(model: str, shape: BipartiteShape, guard: int = 36) -> FerrersDag:
     m, n = shape.m, shape.n
     if m * n > guard:
         raise GuardError(f"diagram DAG needs m*n <= {guard}, got {m * n}")
-    if model == "ssm":
-        vertices = [
-            FerrersDiagram(rows)
-            for rows in combinations_with_replacement(range(m + 1), n)
-            if sum(rows) >= m
-        ]
-    else:
-        vertices = [
-            FerrersDiagram(rows)
-            for rows in combinations_with_replacement(range(m + 1), n)
-            if rows[-1] == m
-        ]
+    keep = (lambda rows: sum(rows) >= m) if model == "ssm" else (lambda rows: rows[-1] == m)
+    vertices = [
+        FerrersDiagram(rows)
+        for rows in combinations_with_replacement(range(m + 1), n)
+        if keep(rows)
+    ]
     vset = set(vertices)
     edges = []
     for F in vertices:

@@ -33,6 +33,11 @@ MODELS = ("asm", "ssm")
 POLICIES = ("fifo", "lifo", "min-index")
 
 
+def _check_model(model: str) -> None:
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+
+
 @dataclass(frozen=True)
 class BipartiteShape:
     """Vertex counts (m top, n bottom) of K0_{m,n}; the sink is implicit."""
@@ -398,8 +403,7 @@ def markov_step(
     policy: str = "fifo",
 ) -> Configuration:
     """One step of the grain-addition chain: add a grain at v, then stabilize."""
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    _check_model(model)
     if not c.is_stable:
         raise ValueError("markov_step starts from a stable configuration")
     bumped = add_grain(c, v)
@@ -425,8 +429,7 @@ def trajectory(
     a fresh child oracle derived from (seed, step), so the whole run is a
     pure function of the arguments.
     """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    _check_model(model)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     m, n = shape.m, shape.n

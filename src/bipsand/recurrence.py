@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import GuardError
-from .model import BipartiteShape, Configuration
+from .model import BipartiteShape, Configuration, _check_model
 
 # From this many entries on (m+n) numpy beats pure Python, tuple-to-array
 # conversion included; the two paths tie at about 160 (CHANGES.md has the table).
@@ -98,7 +98,7 @@ def is_recurrent(c: Configuration, model: str) -> bool:
         return is_deterministically_recurrent(c)
     if model == "ssm":
         return is_stochastically_recurrent(c)
-    raise ValueError(f"unknown model {model!r}")
+    _check_model(model)  # neither name: raises
 
 
 def level(c: Configuration) -> int:
@@ -159,6 +159,37 @@ def _witness_guard(c: Configuration, guard: int) -> None:
         )
 
 
+def _mask(indices: tuple) -> int:
+    """Bitmask of 1-based vertex indices, as _subset_tables indexes subsets."""
+    return sum(1 << (i - 1) for i in indices)
+
+
+def _first_witness(c: Configuration, guard: int, model: str) -> Optional[ForbiddenWitness]:
+    """The first pair (A, B) in (|B|, B, A) order that the model's grid marks.
+
+    grid[A, B] over all subset bitmasks holds the model's witness condition.
+    Neither condition holds when A or B is empty, since grain counts are
+    non-negative, so every marked pair is a pair of nonempty sets.
+    """
+    _witness_guard(c, guard)
+    sums_t, maxs_t, sizes_t = _subset_tables(c.top)
+    sums_b, maxs_b, sizes_b = _subset_tables(c.bottom)
+    if model == "ssm":
+        grid = sums_t[:, None] + sums_b[None, :] < sizes_t[:, None] * sizes_b[None, :]
+    else:
+        grid = (maxs_t[:, None] < sizes_b[None, :]) & (maxs_b[None, :] < sizes_t[:, None])
+    hit = grid.any(axis=0)  # hit[B]: some A completes a witness
+    if not hit.any():
+        return None
+    m, n = c.shape.m, c.shape.n
+    for bsize in range(1, n + 1):
+        for b in combinations(range(1, n + 1), bsize):
+            if hit[_mask(b)]:
+                column = grid[:, _mask(b)]
+                a = next(s for s in _lex_subsets(m) if column[_mask(s)])
+                return ForbiddenWitness(model, a, b)
+
+
 def forbidden_witness_ssm(
     c: Configuration, guard: int = 24
 ) -> Optional[ForbiddenWitness]:
@@ -169,24 +200,7 @@ def forbidden_witness_ssm(
     no pair has grain total below |A|*|B|.  Exhaustive by construction,
     hence the size guard.
     """
-    _witness_guard(c, guard)
-    m, n = c.shape.m, c.shape.n
-    if m == 0:
-        return None
-    sums_t, _, sizes_t = _subset_tables(c.top)
-    sums_b, _, sizes_b = _subset_tables(c.bottom)
-    grid = sums_t[:, None] + sums_b[None, :] < sizes_t[:, None] * sizes_b[None, :]
-    grid[0, :] = False
-    grid[:, 0] = False
-    if not grid.any():
-        return None
-    for bsize in range(1, n + 1):
-        for b in combinations(range(1, n + 1), bsize):
-            sb = sum(c.bottom[j - 1] for j in b)
-            for a in _lex_subsets(m):
-                if sum(c.top[i - 1] for i in a) + sb < len(a) * bsize:
-                    return ForbiddenWitness("ssm", a, b)
-    raise AssertionError("subset grid found a violation the ordered scan missed")
+    return _first_witness(c, guard, "ssm")
 
 
 def forbidden_witness_asm(
@@ -198,24 +212,7 @@ def forbidden_witness_asm(
     is below |B| and every bottom entry in B is below |A|.  Same scan
     order and guard as the stochastic search.
     """
-    _witness_guard(c, guard)
-    m, n = c.shape.m, c.shape.n
-    if m == 0:
-        return None
-    _, maxs_t, sizes_t = _subset_tables(c.top)
-    _, maxs_b, sizes_b = _subset_tables(c.bottom)
-    grid = (maxs_t[:, None] < sizes_b[None, :]) & (maxs_b[None, :] < sizes_t[:, None])
-    grid[0, :] = False
-    grid[:, 0] = False
-    if not grid.any():
-        return None
-    for bsize in range(1, n + 1):
-        for b in combinations(range(1, n + 1), bsize):
-            mb = max(c.bottom[j - 1] for j in b)
-            for a in _lex_subsets(m):
-                if max(c.top[i - 1] for i in a) < bsize and mb < len(a):
-                    return ForbiddenWitness("asm", a, b)
-    raise AssertionError("subset grid found a violation the ordered scan missed")
+    return _first_witness(c, guard, "asm")
 
 
 def sort_config(c: Configuration) -> Configuration:

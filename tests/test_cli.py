@@ -231,3 +231,94 @@ class TestCensus:
         doc = json.loads(out)
         assert doc["count"] == 70
         assert doc["level_poly"].startswith("21+18*q")
+
+
+# Exact stdout and exit code for every subcommand in both formats, as printed
+# before the CLI shared one output helper; --dot paths are relative to tmp_path.
+EXACT = [
+    (["check", "3,1,3,2,3;2,0,4,3", "--model", "ssm"], 0, 'recurrent: true\nlevel: 1\n'),
+    (
+        ["check", "3,1,3,2,3;2,0,4,3", "--model", "asm", "--format", "json"],
+        1, '{"level": 1, "model": "asm", "recurrent": false}\n',
+    ),
+    (["stabilize", "2,1;0,2", "--model", "ssm", "--seed", "5"], 0, '1,0;1,2\nfirings: 1,1;0,1\n'),
+    (
+        ["stabilize", "2,1;0,2", "--model", "asm", "--format", "json"],
+        0,
+        '{"configuration": {"bottom": [2, 1], "top": [1, 0]}, '
+        '"firings": {"bottom": [0, 1], "top": [1, 1]}}\n',
+    ),
+    (
+        ["simulate", "--model", "asm", "--m", "1", "--n", "2", "--steps", "6", "--seed", "2"],
+        0, '0;0,0 1\n0;0,1 1\n0;1,1 2\n1;0,0 1\n1;0,1 1\n1;1,1 1\n',
+    ),
+    (
+        ["simulate", "--model", "ssm", "--m", "1", "--n", "1", "--steps", "4", "--seed", "3",
+         "--format", "json"],
+        0,
+        '{"visits": [{"bottom": [0], "count": 1, "top": [0]}, '
+        '{"bottom": [1], "count": 4, "top": [0]}]}\n',
+    ),
+    (["level", "0,2,2;2,2,3"], 0, '2\n'),
+    (["level", "0,2,2;2,2,3", "--format", "json"], 0, '{"level": 2}\n'),
+    (["biject", "--to", "ferrers", "0,2,2;2,2,2", "--model", "ssm"], 0, '1,1,3|2,2,2\n'),
+    (
+        ["biject", "--to", "ferrers", "0,2,2;2,2,2", "--model", "ssm", "--format", "json"],
+        0, '{"first": "1,1,3", "second": "2,2,2"}\n',
+    ),
+    (["biject", "--to", "polyomino", "0,1,2,2;2,4,4"], 0, 'upper=NENENEEE;lower=EEENEENN\n'),
+    (
+        ["biject", "--to", "motzkin", "2,2,2,4,4;2,3,4,5,5", "--format", "json"],
+        0, '{"word": "UUDeDUneD"}\n',
+    ),
+    (
+        ["biject", "--from", "polyomino", "upper=NENENEEE;lower=EEENEENN", "--format", "json"],
+        0, '{"bottom": [2, 4, 4], "top": [0, 1, 2, 2]}\n',
+    ),
+    (["biject", "--from", "motzkin", "UUDeDUneD"], 0, '2,2,2,4,4;2,3,4,5,5\n'),
+    (
+        ["dag", "--model", "ssm", "--m", "2", "--n", "2", "--dot", "out.dot"],
+        0, 'vertices: 4\nedges: 4\ndot written to out.dot\n',
+    ),
+    (
+        ["dag", "--model", "asm", "--m", "2", "--n", "3", "--dot", "out.dot", "--format", "json"],
+        0, '{"dot": "out.dot", "edges": 6, "model": "asm", "vertices": 6}\n',
+    ),
+    (["dag", "--model", "asm", "--m", "3", "--n", "3"], 0, 'vertices: 10\nedges: 12\n'),
+    (["enumerate", "--m", "1", "--n", "1"], 0, '0;0\n0;1\n'),
+    (
+        ["enumerate", "--m", "1", "--n", "2", "--recurrent", "--model", "ssm", "--format", "json"],
+        0,
+        '{"configurations": [{"bottom": [1, 1], "top": [0]}, {"bottom": [0, 1], "top": [1]}, '
+        '{"bottom": [1, 0], "top": [1]}, {"bottom": [1, 1], "top": [1]}]}\n',
+    ),
+    (
+        ["census", "--m", "2", "--n", "2", "--model", "asm"],
+        0, 'm,n,model,sorted,count,level_poly\n2,2,asm,false,12,7+4*q+1*q^2\n',
+    ),
+    (
+        ["census", "--m", "2", "--n", "2", "--model", "ssm", "--sorted", "--format", "json"],
+        0,
+        '{"count": 7, "level_poly": "4+2*q+1*q^2", '
+        '"m": 2, "model": "ssm", "n": 2, "sorted": true}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,want_code,want_out", EXACT)
+def test_exact_output(capsys, tmp_path, monkeypatch, argv, want_code, want_out):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (want_code, want_out, "")
+    if "--dot" in argv:
+        assert (tmp_path / "out.dot").read_text().startswith("digraph ferrers {")
+
+
+def test_unwritable_dot_exits_two(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "out.dot"
+    code, out, err = run(
+        capsys, "dag", "--model", "ssm", "--m", "2", "--n", "2", "--dot", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -10,18 +10,25 @@ import oracles
 from bipsand import (
     BipartiteShape,
     Configuration,
+    FerrersDiagram,
+    FerrersPair,
     ToppleOracle,
     TopplingStallError,
     Vertex,
     add_grain,
+    build_dag,
+    config_to_pair,
+    is_recurrent,
     is_stable,
     markov_step,
+    pair_to_config,
     simulate,
     stabilize_deterministic,
     stabilize_stochastic,
     topple_deterministic,
     topple_stochastic,
     trajectory,
+    witness_sequence,
 )
 
 
@@ -320,3 +327,27 @@ class TestOneEngine:
         oracle = ToppleOracle(seed, 1.0)
         for policy in ("fifo", "lifo", "min-index"):
             assert stabilize_deterministic(c, policy) == stabilize_stochastic(c, oracle, policy)
+
+
+_C = Configuration.from_text("0,2,2;2,2,2")
+_FIRST, _SECOND = FerrersDiagram((1, 1, 3)), FerrersDiagram((2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_recurrent(_C, "xyz"),
+        lambda: config_to_pair("xyz", _C),
+        lambda: pair_to_config("xyz", FerrersPair(_FIRST, _SECOND)),
+        lambda: witness_sequence("xyz", _FIRST, _SECOND),
+        lambda: build_dag("xyz", BipartiteShape(2, 2)),
+        lambda: markov_step("xyz", _C, Vertex("top", 1)),
+        lambda: next(trajectory("xyz", BipartiteShape(2, 2), 3, seed=0)),
+    ],
+    ids=["is_recurrent", "config_to_pair", "pair_to_config", "witness_sequence",
+         "build_dag", "markov_step", "trajectory"],
+)
+def test_unknown_model_has_one_message(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "model must be one of ('asm', 'ssm'), got 'xyz'"

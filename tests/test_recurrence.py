@@ -193,7 +193,7 @@ class TestWitnesses:
             assert all(bottom[j - 1] < a for j in w.bottom_indices)
 
     def test_canonical_scan_order(self):
-        for m, n in [(2, 2), (3, 2), (2, 3)]:
+        for m, n in [(2, 2), (3, 2), (2, 3), (0, 3), (1, 4), (4, 1), (3, 3)]:
             for top, bottom in oracles.all_stable(m, n):
                 c = Configuration.from_vectors(top, bottom)
                 w = forbidden_witness_ssm(c)
@@ -204,6 +204,14 @@ class TestWitnesses:
                 want = oracles.first_asm_witness(top, bottom)
                 got = None if w is None else (w.top_indices, w.bottom_indices)
                 assert got == want
+
+    def test_scan_takes_bottom_sets_in_lexicographic_order(self):
+        # the first witness has B = {1, 4}: lexicographic order puts it before
+        # {2, 3}, bitmask order (9 > 6) after
+        top, bottom = (1, 1, 1), (2, 1, 1, 0)
+        w = forbidden_witness_ssm(Configuration.from_vectors(top, bottom))
+        assert (w.top_indices, w.bottom_indices) == ((1, 2, 3), (1, 4))
+        assert oracles.first_ssm_witness(top, bottom) == ((1, 2, 3), (1, 4))
 
     def test_guard(self):
         c = Configuration.from_vectors((0,) * 13, (0,) * 12)
