@@ -142,10 +142,14 @@ def _cmd_enumerate(args) -> int:
         stream = enumerate_recurrent(shape, model, args.sorted)
     else:
         stream = enumerate_stable(shape, args.sorted)
+    # one item at a time: a listing may run to 10^8 lines.  The JSON bytes
+    # equal _emit_json({"configurations": [...]}) of the whole list.
     if args.format == "json":
-        _emit_json({"configurations": [c.to_json_dict() for c in stream]})
+        print('{"configurations": [', end="")
+        for i, c in enumerate(stream):
+            print(", " if i else "", json.dumps(c.to_json_dict(), sort_keys=True), sep="", end="")
+        print("]}")
     else:
-        # one line at a time: a listing may run to 10^8 lines
         for c in stream:
             print(c.to_text())
     return 0

@@ -1,9 +1,9 @@
 """Exhaustive generators and counting harnesses at desk scale.
 
-Everything here is guarded brute force: stable-configuration streams in
-lexicographic order, recurrent censuses with level histograms, an exact
-matrix-tree determinant as an independent count of deterministic-model
-recurrent states, and the empirical support of simulated chains.
+Guarded brute force gives stable-configuration streams in lexicographic
+order, recurrent censuses with level histograms, and the empirical support
+of simulated chains.  The spanning-tree count, a closed form, is an
+independent count of deterministic-model recurrent states.
 """
 from __future__ import annotations
 
@@ -107,48 +107,15 @@ def census(
     return CensusRow(m, n, model, sorted_only, total, tuple(counts))
 
 
-def _int_det(rows: list) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    a = [list(r) for r in rows]
-    size = len(a)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, size) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def spanning_tree_count(shape: BipartiteShape) -> int:
     """Spanning trees of the complete bipartite graph on (m+1) + n vertices.
 
-    Computed as the determinant of the Laplacian with the sink row and
-    column removed, in exact integer arithmetic.  Equals the number of
-    unsorted recurrent configurations of the deterministic model.
+    The closed form (m+1)^(n-1) * n^m of Scoins (1962) for K_{m+1,n}.
+    Equals the number of unsorted recurrent configurations of the
+    deterministic model.
     """
     m, n = shape.m, shape.n
-    size = m + n
-    lap = [[0] * size for _ in range(size)]
-    for i in range(m):
-        lap[i][i] = n
-    for j in range(n):
-        lap[m + j][m + j] = m + 1
-    for i in range(m):
-        for j in range(n):
-            lap[i][m + j] = -1
-            lap[m + j][i] = -1
-    return _int_det(lap)
+    return (m + 1) ** (n - 1) * n**m
 
 
 def empirical_support(

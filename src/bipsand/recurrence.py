@@ -6,15 +6,16 @@ model, rowwise for the deterministic one.  The k-vector entry k_j counts
 the top vertices holding fewer than j grains; it is computed by a counting
 pass.  From _NP_MIN entries on, the bottom side is sorted by counting too,
 so both checks stay linear; below that size a comparison sort is faster.
-Exhaustive forbidden-pair searches over vertex subsets are provided as
-independent oracles for desk-scale cross-validation.
+The first forbidden vertex-subset pair, which certifies non-recurrence,
+is found by a greedy scan in polynomial time and O(m+n) memory.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from bisect import bisect_left
+from itertools import accumulate
 from operator import ge
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -125,31 +126,6 @@ class ForbiddenWitness:
     bottom_indices: tuple
 
 
-def _lex_subsets(k: int) -> Iterator[tuple]:
-    """Nonempty subsets of [k] as sorted tuples, in lexicographic order."""
-
-    def rec(prefix: list, start: int) -> Iterator[tuple]:
-        for x in range(start, k + 1):
-            prefix.append(x)
-            yield tuple(prefix)
-            yield from rec(prefix, x + 1)
-            prefix.pop()
-
-    return rec([], 1)
-
-
-def _subset_tables(values: Sequence[int]):
-    """All-subset sums, maxima, and sizes, indexed by bitmask."""
-    sums = np.zeros(1, dtype=np.int64)
-    maxs = np.full(1, -1, dtype=np.int64)
-    sizes = np.zeros(1, dtype=np.int64)
-    for v in values:
-        sums = np.concatenate([sums, sums + v])
-        maxs = np.concatenate([maxs, np.maximum(maxs, v)])
-        sizes = np.concatenate([sizes, sizes + 1])
-    return sums, maxs, sizes
-
-
 def _witness_guard(c: Configuration, guard: int) -> None:
     _require_stable(c, "forbidden witness search")
     m, n = c.shape.m, c.shape.n
@@ -159,48 +135,46 @@ def _witness_guard(c: Configuration, guard: int) -> None:
         )
 
 
-def _mask(indices: tuple) -> int:
-    """Bitmask of 1-based vertex indices, as _subset_tables indexes subsets."""
-    return sum(1 << (i - 1) for i in indices)
-
-
-def _first_witness(c: Configuration, guard: int, model: str) -> Optional[ForbiddenWitness]:
-    """The first pair (A, B) in (|B|, B, A) order that the model's grid marks.
-
-    grid[A, B] over all subset bitmasks holds the model's witness condition.
-    Neither condition holds when A or B is empty, since grain counts are
-    non-negative, so every marked pair is a pair of nonempty sets.
-    """
-    _witness_guard(c, guard)
-    sums_t, maxs_t, sizes_t = _subset_tables(c.top)
-    sums_b, maxs_b, sizes_b = _subset_tables(c.bottom)
-    if model == "ssm":
-        grid = sums_t[:, None] + sums_b[None, :] < sizes_t[:, None] * sizes_b[None, :]
-    else:
-        grid = (maxs_t[:, None] < sizes_b[None, :]) & (maxs_b[None, :] < sizes_t[:, None])
-    hit = grid.any(axis=0)  # hit[B]: some A completes a witness
-    if not hit.any():
-        return None
-    m, n = c.shape.m, c.shape.n
-    for bsize in range(1, n + 1):
-        for b in combinations(range(1, n + 1), bsize):
-            if hit[_mask(b)]:
-                column = grid[:, _mask(b)]
-                a = next(s for s in _lex_subsets(m) if column[_mask(s)])
-                return ForbiddenWitness(model, a, b)
-
-
 def forbidden_witness_ssm(
     c: Configuration, guard: int = 24
 ) -> Optional[ForbiddenWitness]:
     """First vertex-subset pair violating the stochastic grain inequality.
 
     Scans pairs in lexicographic order of (|B|, B, A) over nonempty
-    subsets A of the top side and B of the bottom side; returns None when
-    no pair has grain total below |A|*|B|.  Exhaustive by construction,
-    hence the size guard.
+    subsets A of the top side and B of the bottom side, as sorted tuples
+    (so a set comes before its extensions); returns None when no pair has
+    grain total below |A|*|B|.  For each b = |B| that total is below
+    |A|*|B| when S_B + (sum of w over A) < 0, with w_i = t_i - b.  The
+    cheapest nonempty A sums the negative w, or takes min w when none is
+    negative.  B, then A, is built index by index, each index the smallest
+    whose cheapest completion still fits: O(n(m+n)) time, O(m+n) memory.
+    guard, the largest m+n accepted, is kept for compatibility.
     """
-    return _first_witness(c, guard, "ssm")
+    _witness_guard(c, guard)
+    top, bottom = c.top, c.bottom
+    lightest = list(accumulate(sorted(bottom)))  # lightest[b-1]: least S_B with |B| = b
+    for b in range(1, len(bottom) + 1):
+        w = [t - b for t in top]
+        neg = sum(v for v in w if v < 0)
+        # with no top vertex the bound is 0, which no S_B >= 0 stays below
+        bound = -neg if neg < 0 else -min(w, default=0)
+        if lightest[b - 1] >= bound:
+            continue
+        b_set, s_b, rest = [], 0, sorted(bottom)  # rest: the entries after j
+        for j, u in enumerate(bottom, 1):
+            del rest[bisect_left(rest, u)]
+            if len(b_set) < b and s_b + u + sum(rest[: b - len(b_set) - 1]) < bound:
+                b_set.append(j)
+                s_b += u
+        a_set, s_a = [], 0
+        for x, v in enumerate(w, 1):
+            neg -= min(v, 0)  # now the negative w after x
+            if s_a + v + neg + s_b < 0:
+                a_set.append(x)
+                s_a += v
+                if s_a + s_b < 0:
+                    return ForbiddenWitness("ssm", tuple(a_set), tuple(b_set))
+    return None
 
 
 def forbidden_witness_asm(
@@ -210,9 +184,18 @@ def forbidden_witness_asm(
 
     A pair (A, B) of nonempty subsets qualifies when every top entry in A
     is below |B| and every bottom entry in B is below |A|.  Same scan
-    order and guard as the stochastic search.
+    order and guard as the stochastic search.  For each b = |B|, A lies in
+    S = {i : t_i < b}, so B takes the first b bottom entries below |S| and
+    A the shortest prefix of S longer than every entry of B: O(n(m+n)) time.
     """
-    return _first_witness(c, guard, "asm")
+    _witness_guard(c, guard)
+    for b in range(1, c.shape.n + 1):
+        s = [i for i, t in enumerate(c.top, 1) if t < b]
+        b_set = [j for j, u in enumerate(c.bottom, 1) if u < len(s)][:b]
+        if len(b_set) == b:
+            a_len = max(c.bottom[j - 1] for j in b_set) + 1
+            return ForbiddenWitness("asm", tuple(s[:a_len]), tuple(b_set))
+    return None
 
 
 def sort_config(c: Configuration) -> Configuration:

@@ -1,8 +1,11 @@
 """Command surface: formats, exit codes, and error channels."""
+import io
 import json
+import sys
 
 import pytest
 
+from bipsand import Configuration, cli
 from bipsand.cli import main
 
 
@@ -322,3 +325,22 @@ def test_unwritable_dot_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_enumerate_json_streams(monkeypatch):
+    # the first item must be written before the stream yields the second
+    out = io.StringIO()
+    written_before_second = []
+    c = Configuration.from_vectors((0,), (1,))
+
+    def stream(shape, sorted_only):
+        yield c
+        written_before_second.append(out.getvalue())
+        yield c
+
+    monkeypatch.setattr(cli, "enumerate_stable", stream)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "--m", "1", "--n", "1", "--format", "json"]) == 0
+    item = c.to_json_dict()
+    assert written_before_second == ['{"configurations": [' + json.dumps(item, sort_keys=True)]
+    assert out.getvalue() == json.dumps({"configurations": [item, item]}, sort_keys=True) + "\n"

@@ -1,6 +1,7 @@
 """Linear-time recurrence checks against exhaustive witness searches."""
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -350,3 +351,63 @@ class TestOneSizeSwitch:
         assert s.top == (0, 10**12)
         assert s.bottom == (1, 3, 10**12)
         assert sort_config(cfg(";" + str(10**12))).bottom == (10**12,)
+
+
+class TestGreedyWitnessScan:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 4), n=st.integers(1, 4))
+    def test_matches_exhaustive_oracles(self, data, m, n):
+        top = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+        bottom = tuple(data.draw(st.lists(st.integers(0, m), min_size=n, max_size=n)))
+        c = Configuration.from_vectors(top, bottom)
+        for search, oracle in (
+            (forbidden_witness_ssm, oracles.first_ssm_witness),
+            (forbidden_witness_asm, oracles.first_asm_witness),
+        ):
+            w = search(c)
+            got = None if w is None else (w.top_indices, w.bottom_indices)
+            assert got == oracle(top, bottom)
+
+    def test_memory_stays_small_at_the_default_guard(self):
+        # an all-subset table over K12,12 would take hundreds of MB
+        c = Configuration.from_vectors((0,) * 12, (0,) * 12)
+        tracemalloc.start()
+        try:
+            w = forbidden_witness_ssm(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w == ForbiddenWitness("ssm", (1,), (1,))
+        assert peak < 2**20
+
+    def test_large_shape_agrees_with_the_recurrence_check(self):
+        # bottom is the k-vector (mode 0), less one grain on row i (mode 1),
+        # and plus one on an earlier row (mode 2), so every verdict occurs
+        rng = random.Random(41)
+        m = n = 500
+        verdicts = set()
+        for mode in (0, 1, 2) * 2:
+            top = [rng.randrange(n) for _ in range(m)]
+            bottom = list(counts_below(top, n))
+            if mode:
+                i = rng.choice([j for j in range(1, n) if 0 < bottom[j] < m])
+                bottom[i] -= 1
+                if mode == 2:
+                    bottom[rng.randrange(i)] += 1
+            rng.shuffle(bottom)
+            c = Configuration.from_vectors(top, bottom)
+            for model, search in (("ssm", forbidden_witness_ssm), ("asm", forbidden_witness_asm)):
+                w = search(c, guard=1000)
+                recurrent = is_recurrent(c, model)
+                verdicts.add((model, recurrent))
+                assert (w is None) == recurrent
+                if w is None:
+                    continue
+                a, b = w.top_indices, w.bottom_indices
+                if model == "ssm":
+                    grains = sum(top[i - 1] for i in a) + sum(bottom[j - 1] for j in b)
+                    assert grains < len(a) * len(b)
+                else:
+                    assert all(top[i - 1] < len(b) for i in a)
+                    assert all(bottom[j - 1] < len(a) for j in b)
+        assert len(verdicts) == 4
