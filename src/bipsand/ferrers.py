@@ -9,9 +9,10 @@ A sorted recurrent configuration c maps to the pair (F(k), F(bottom)),
 where k is the k-vector of the top side.  The second diagram is reachable
 from the first by legal shifts and adds exactly when the configuration is
 recurrent for the stochastic model (prefix dominance), and by adds alone
-exactly for the deterministic model (rowwise dominance).  The reachability
-graph over all diagrams of a given shape is a bipolar DAG whose blue edges
-are shifts and red edges are adds.
+exactly for the deterministic model (rowwise dominance); both tests are
+the recurrence check's dominance test run on the pair's rows.  The
+reachability graph over all diagrams of a given shape is a bipolar DAG
+whose blue edges are shifts and red edges are adds.
 """
 from __future__ import annotations
 
@@ -21,9 +22,7 @@ from typing import Iterator, Optional
 
 from .errors import GuardError
 from .model import BipartiteShape, Configuration, _check_model
-from .recurrence import counts_below, is_recurrent
-
-Operation = tuple  # ("shift", from_row, to_row) or ("add", row)
+from .recurrence import _dominates, counts_below, is_recurrent
 
 
 @dataclass(frozen=True)
@@ -128,26 +127,20 @@ def apply_sequence(diagram: FerrersDiagram, ops) -> FerrersDiagram:
 def is_compatible(first: FerrersDiagram, second: FerrersDiagram) -> bool:
     """True iff second is reachable from first by legal shifts and adds.
 
-    Decided in O(n) by prefix dominance from the bottom row; reachability
-    in the diagram DAG agrees with this (exhaustively tested at small
-    sizes) but is never searched here.
+    Decided in O(n) by the recurrence check's prefix dominance test on the
+    rows, second over first; reachability in the diagram DAG agrees with
+    this (exhaustively tested at small sizes) but is never searched here.
     """
     if first.n_rows != second.n_rows:
         raise ValueError("diagrams must have the same number of rows")
-    run_f = run_s = 0
-    for f, s in zip(first.rows, second.rows):
-        run_f += f
-        run_s += s
-        if run_s < run_f:
-            return False
-    return True
+    return _dominates(first.rows, second.rows, rowwise=False)
 
 
 def is_strongly_compatible(first: FerrersDiagram, second: FerrersDiagram) -> bool:
     """True iff second is reachable from first by legal adds alone (rowwise dominance)."""
     if first.n_rows != second.n_rows:
         raise ValueError("diagrams must have the same number of rows")
-    return all(s >= f for f, s in zip(first.rows, second.rows))
+    return _dominates(first.rows, second.rows, rowwise=True)
 
 
 @dataclass(frozen=True)
@@ -194,13 +187,6 @@ def config_to_pair(model: str, c: Configuration) -> FerrersPair:
     return FerrersPair(FerrersDiagram(k), FerrersDiagram(c.bottom))
 
 
-def _border_top(first: FerrersDiagram, m: int) -> tuple:
-    # Sorted top side read off the first diagram's south-east border:
-    # entry i counts the rows shorter than i.
-    k_ext = counts_below(first.rows, m + 1)
-    return k_ext[:m]
-
-
 def pair_to_config(model: str, pair: FerrersPair) -> Configuration:
     """Invert config_to_pair; m is the first diagram's column count."""
     _check_model(model)
@@ -212,7 +198,10 @@ def pair_to_config(model: str, pair: FerrersPair) -> Configuration:
             f"second diagram has {second.columns} columns but the first fixes m={m}"
         )
     _require_compatible(model, first, second)
-    return Configuration(BipartiteShape(m, n), _border_top(first, m), second.rows)
+    # Sorted top side read off the first diagram's south-east border:
+    # entry i counts the rows shorter than i.
+    top = counts_below(first.rows, m + 1)[:m]
+    return Configuration(BipartiteShape(m, n), top, second.rows)
 
 
 @dataclass(frozen=True)
@@ -240,8 +229,20 @@ class LabelledFerrersPair:
 
 
 def _stable_order(values) -> list:
-    # positions sorted by value, ties kept in original order
-    return sorted(range(len(values)), key=lambda i: (values[i], i))
+    # positions sorted by value; sorted() is stable, so ties keep their order
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+def _unsort(side: tuple, labels: tuple, message: str) -> tuple:
+    # Entry i of the sorted side goes back to vertex labels[i]; the labels
+    # are valid only if the tie rule of config_to_labelled_pair, _stable_order,
+    # reproduces them from the result.
+    values = [0] * len(side)
+    for pos, label in enumerate(labels):
+        values[label - 1] = side[pos]
+    if _stable_order(values) != [label - 1 for label in labels]:
+        raise ValueError(message)
+    return tuple(values)
 
 
 def config_to_labelled_pair(model: str, c: Configuration) -> LabelledFerrersPair:
@@ -265,23 +266,9 @@ def config_to_labelled_pair(model: str, c: Configuration) -> LabelledFerrersPair
 def labelled_pair_to_config(model: str, lp: LabelledFerrersPair) -> Configuration:
     """Invert config_to_labelled_pair, restoring the original vertex order."""
     sc = pair_to_config(model, lp.pair)
-    m, n = sc.shape.m, sc.shape.n
-    for i in range(m - 1):
-        if sc.top[i] == sc.top[i + 1] and lp.column_labels[i] > lp.column_labels[i + 1]:
-            raise ValueError("equal-height columns must carry increasing labels")
-    for j in range(n - 1):
-        if (
-            sc.bottom[j] == sc.bottom[j + 1]
-            and lp.row_labels[j] > lp.row_labels[j + 1]
-        ):
-            raise ValueError("equal-length rows must carry increasing labels")
-    top = [0] * m
-    bottom = [0] * n
-    for pos, label in enumerate(lp.column_labels):
-        top[label - 1] = sc.top[pos]
-    for pos, label in enumerate(lp.row_labels):
-        bottom[label - 1] = sc.bottom[pos]
-    return Configuration(sc.shape, tuple(top), tuple(bottom))
+    top = _unsort(sc.top, lp.column_labels, "equal-height columns must carry increasing labels")
+    bottom = _unsort(sc.bottom, lp.row_labels, "equal-length rows must carry increasing labels")
+    return Configuration(sc.shape, top, bottom)
 
 
 @dataclass(frozen=True)

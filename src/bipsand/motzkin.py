@@ -10,13 +10,14 @@ of each dropped) gives the word: (N,E) -> U, (N,N) -> HN, (E,E) -> HE,
 (E,N) -> D; the word is the diagonal-distance profile of the polyomino.
 The maps to and from sorted deterministically recurrent configurations go
 through the polyomino, so the triangle of bijections commutes by
-construction.  The half-integer area under the word equals the level of
-the configuration.
+construction.  The area under the word equals the level of the
+configuration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .model import Configuration
 from .polyomino import ParallelogramPolyomino, config_to_polyomino, polyomino_to_config
@@ -25,6 +26,7 @@ _TO_CHAR = {"U": "U", "D": "D", "HN": "n", "HE": "e"}
 _FROM_CHAR = {v: k for k, v in _TO_CHAR.items()}
 _PAIR_TO_STEP = {("N", "E"): "U", ("N", "N"): "HN", ("E", "E"): "HE", ("E", "N"): "D"}
 _STEP_TO_PAIR = {v: k for k, v in _PAIR_TO_STEP.items()}
+_RISE = {"U": 1, "D": -1, "HN": 0, "HE": 0}
 
 
 @dataclass(frozen=True)
@@ -57,20 +59,14 @@ class MotzkinWord:
         return self.steps.count("D") + self.steps.count("HN") + 1
 
     def area(self) -> Fraction:
-        """Area between the path and the axis, in exact halves per step."""
-        half = Fraction(1, 2)
-        h = 0
-        total = Fraction(0)
-        for s in self.steps:
-            if s == "U":
-                total += h + half
-                h += 1
-            elif s == "D":
-                total += h - half
-                h -= 1
-            else:
-                total += h
-        return total
+        """Area between the path and the axis: the sum of the step heights.
+
+        A step starting at height h encloses h, plus 1/2 for U and minus 1/2
+        for D.  The word ends on the axis, so its U and D steps pair up, the
+        halves cancel, and the area is the sum of the starting heights (an
+        integer, returned as a Fraction).
+        """
+        return Fraction(sum(accumulate(map(_RISE.get, self.steps), initial=0)))
 
     @classmethod
     def from_text(cls, text: str) -> "MotzkinWord":

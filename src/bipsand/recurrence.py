@@ -6,8 +6,10 @@ model, rowwise for the deterministic one.  The k-vector entry k_j counts
 the top vertices holding fewer than j grains; it is computed by a counting
 pass.  From _NP_MIN entries on, the bottom side is sorted by counting too,
 so both checks stay linear; below that size a comparison sort is faster.
-The first forbidden vertex-subset pair, which certifies non-recurrence,
-is found by a greedy scan in polynomial time and O(m+n) memory.
+Ferrers compatibility (ferrers.is_compatible, is_strongly_compatible) is
+the same dominance test, run on the rows of a diagram pair.  The first
+forbidden vertex-subset pair, which certifies non-recurrence, is found by
+a greedy scan in polynomial time and O(m+n) memory.
 """
 from __future__ import annotations
 
@@ -42,15 +44,18 @@ def counts_below(values: Sequence[int], bound: int) -> tuple:
     vals = tuple(values)
     if vals and (min(vals) < 0 or max(vals) >= bound):
         raise ValueError(f"values must lie in [0, {bound})")
-    hist = [0] * (bound + 1)
+    hist = [0] * bound
     for v in vals:
         hist[v] += 1
-    k = []
-    run = 0
-    for j in range(1, bound + 1):
-        run += hist[j - 1]
-        k.append(run)
-    return tuple(k)
+    return tuple(accumulate(hist))
+
+
+def _dominates(lower: Sequence[int], upper: Sequence[int], rowwise: bool) -> bool:
+    """True iff upper dominates lower: entry by entry when rowwise, else in
+    every prefix sum."""
+    if rowwise:
+        return all(map(ge, upper, lower))
+    return all(map(ge, accumulate(upper), accumulate(lower)))
 
 
 def _check(c: Configuration, rowwise: bool) -> bool:
@@ -60,17 +65,13 @@ def _check(c: Configuration, rowwise: bool) -> bool:
     if m + n >= _NP_MIN:
         top = np.asarray(c.top, dtype=np.int64)
         bottom = np.asarray(c.bottom, dtype=np.int64)
-        k = np.cumsum(np.bincount(top, minlength=n)[:n]) if m else np.zeros(n, dtype=np.int64)
-        hist_b = np.bincount(bottom, minlength=m + 1)[: m + 1]
+        k = np.cumsum(np.bincount(top, minlength=n))
+        hist_b = np.bincount(bottom, minlength=m + 1)
         sorted_b = np.repeat(np.arange(m + 1, dtype=np.int64), hist_b)
         if rowwise:
             return bool(np.all(sorted_b >= k))
         return bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k)))
-    k = counts_below(c.top, n)
-    sorted_b = sorted(c.bottom)
-    if rowwise:
-        return all(map(ge, sorted_b, k))
-    return all(map(ge, accumulate(sorted_b), accumulate(k)))
+    return _dominates(counts_below(c.top, n), sorted(c.bottom), rowwise)
 
 
 def is_stochastically_recurrent(c: Configuration) -> bool:
@@ -131,7 +132,7 @@ def _witness_guard(c: Configuration, guard: int) -> None:
     m, n = c.shape.m, c.shape.n
     if m + n > guard:
         raise GuardError(
-            f"witness search over 2^(m+n) subsets needs m+n <= {guard}, got {m + n}"
+            f"forbidden witness search needs m+n <= {guard}, got {m + n}"
         )
 
 

@@ -16,9 +16,12 @@ from bipsand import (
     build_dag,
     config_to_labelled_pair,
     config_to_pair,
+    counts_below,
     dag_to_dot,
     is_compatible,
+    is_deterministically_recurrent,
     is_recurrent,
+    is_stochastically_recurrent,
     is_strongly_compatible,
     labelled_pair_to_config,
     legal_adds,
@@ -137,6 +140,17 @@ class TestCompatibility:
                 assert is_compatible(d, e) == (e.rows in reach_all)
                 assert is_strongly_compatible(d, e) == (e.rows in reach_add)
 
+    def test_compatibility_is_the_recurrence_check(self):
+        # (F(k), F(sorted bottom)) is compatible exactly when c is recurrent
+        for m in range(0, 4):
+            for n in range(1, 4):
+                for top, bottom in oracles.all_stable(m, n):
+                    c = Configuration.from_vectors(top, bottom)
+                    first = FerrersDiagram(counts_below(top, n))
+                    second = FerrersDiagram(sorted(bottom))
+                    assert is_compatible(first, second) == is_stochastically_recurrent(c)
+                    assert is_strongly_compatible(first, second) == is_deterministically_recurrent(c)
+
 
 class TestPairBijection:
     def test_example_values(self):
@@ -225,6 +239,36 @@ class TestLabelled:
         # label order must be increasing within equal-value groups
         with pytest.raises(ValueError):
             labelled_pair_to_config("ssm", LabelledFerrersPair(pair, (1, 3, 2), (1, 2, 3)))
+
+    def test_labels_accepted_exactly_when_they_reproduce(self):
+        # put the sorted sides back by label; the labels must be the ones
+        # config_to_labelled_pair gives that result, columns checked first
+        for m in range(0, 4):
+            for n in range(1, 4):
+                for model in ("ssm", "asm"):
+                    for top, bottom in oracles.all_stable(m, n):
+                        sc = Configuration.from_vectors(top, bottom)
+                        if not sc.is_sorted or not is_recurrent(sc, model):
+                            continue
+                        pair = config_to_pair(model, sc)
+                        for cols in itertools.permutations(range(1, m + 1)):
+                            for rows in itertools.permutations(range(1, n + 1)):
+                                t, b = [0] * m, [0] * n
+                                for pos, label in enumerate(cols):
+                                    t[label - 1] = top[pos]
+                                for pos, label in enumerate(rows):
+                                    b[label - 1] = bottom[pos]
+                                scattered = Configuration.from_vectors(t, b)
+                                expected = config_to_labelled_pair(model, scattered)
+                                lp = LabelledFerrersPair(pair, cols, rows)
+                                if expected.column_labels != cols:
+                                    with pytest.raises(ValueError, match="equal-height columns"):
+                                        labelled_pair_to_config(model, lp)
+                                elif expected.row_labels != rows:
+                                    with pytest.raises(ValueError, match="equal-length rows"):
+                                        labelled_pair_to_config(model, lp)
+                                else:
+                                    assert labelled_pair_to_config(model, lp) == scattered
 
 
 class TestWitnessSequence:

@@ -22,7 +22,7 @@ from bipsand import (
     level,
     sort_config,
 )
-from bipsand.recurrence import _NP_MIN
+from bipsand.recurrence import _NP_MIN, _dominates
 
 
 def cfg(text):
@@ -228,6 +228,15 @@ class TestWitnesses:
         ok = Configuration.from_vectors((0,) * 12, (0,) * 12)
         assert forbidden_witness_ssm(ok) is not None
 
+    def test_guard_message_names_the_limit(self):
+        # the searches are polynomial, so the message claims no subset count
+        c = Configuration.from_vectors((0, 0, 0), (0, 0, 0))
+        for search in (forbidden_witness_ssm, forbidden_witness_asm):
+            with pytest.raises(GuardError) as info:
+                search(c, guard=4)
+            assert "m+n <= 4, got 6" in str(info.value)
+            assert "2^" not in str(info.value)
+
 
 class TestSortConfig:
     @settings(max_examples=60, deadline=None)
@@ -351,6 +360,36 @@ class TestOneSizeSwitch:
         assert s.top == (0, 10**12)
         assert s.bottom == (1, 3, 10**12)
         assert sort_config(cfg(";" + str(10**12))).bottom == (10**12,)
+
+
+class TestOneDominanceKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), total=ABOVE_NP)
+    def test_numpy_path_matches_the_shared_kernel(self, data, total):
+        # the k-vector itself is recurrent under both models and the k-vector
+        # less one grain on its last row under neither, so each example meets
+        # all four (model, verdict) pairs; a +-1 perturbation probes the boundary
+        m = data.draw(st.integers(1, total - 1))
+        n = total - m
+        top = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        ks = counts_below(top, n)
+        deltas = data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        near = [min(m, max(0, k + d)) for k, d in zip(ks, deltas)]
+        short = list(ks[:-1]) + [m - 1]
+        for bottom, verdict in ((list(ks), True), (short, False), (near, None)):
+            data.draw(st.randoms()).shuffle(bottom)
+            c = Configuration.from_vectors(top, bottom)
+            for rowwise, check in ((True, is_deterministically_recurrent),
+                                   (False, is_stochastically_recurrent)):
+                expected = _dominates(ks, sorted(bottom), rowwise)
+                assert check(c) == expected
+                assert verdict is None or expected == verdict
+
+    @pytest.mark.parametrize("n", [_NP_MIN, _NP_MIN + 5])
+    def test_numpy_path_without_top_vertices(self, n):
+        c = Configuration.from_vectors((), (0,) * n)
+        assert is_stochastically_recurrent(c)
+        assert is_deterministically_recurrent(c)
 
 
 class TestGreedyWitnessScan:
