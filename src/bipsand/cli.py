@@ -1,9 +1,10 @@
 """Command-line interface: one subcommand per library surface.
 
 Exit codes: 0 success (and: configuration recurrent, for check), 1 check
-ran fine but the configuration is not recurrent, 2 malformed input or
-arguments, 3 a size guard refused the computation.  Diagnostics go to
-standard error; results to standard output.
+ran fine but the configuration is not recurrent, or a stochastic run
+stalled (TopplingStallError), 2 malformed input or arguments, 3 a size
+guard refused the computation.  Diagnostics go to standard error; results
+to standard output.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ def _cmd_simulate(args) -> int:
     shape = BipartiteShape(args.m, args.n)
     visits = simulate(args.model, shape, args.steps, args.seed, args.p)
     items = sorted(visits.items(), key=lambda kv: (kv[0].top, kv[0].bottom))
-    rows = [{"top": list(c.top), "bottom": list(c.bottom), "count": k} for c, k in items]
+    rows = [{**c.to_json_dict(), "count": k} for c, k in items]
     _emit(args, {"visits": rows}, "\n".join(f"{c.to_text()} {k}" for c, k in items))
     return 0
 
@@ -226,15 +227,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GuardError as exc:
+    except (GuardError, TopplingStallError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TopplingStallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GuardError) else 1 if isinstance(exc, TopplingStallError) else 2
 
 
 if __name__ == "__main__":

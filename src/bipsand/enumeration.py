@@ -100,11 +100,9 @@ def census(
     """Count recurrent configurations by level over the full stable stream."""
     m, n = shape.m, shape.n
     counts = [0] * (m * (n - 1) + 1)
-    total = 0
     for c in enumerate_recurrent(shape, model, sorted_only, limit):
         counts[level(c)] += 1
-        total += 1
-    return CensusRow(m, n, model, sorted_only, total, tuple(counts))
+    return CensusRow(m, n, model, sorted_only, sum(counts), tuple(counts))
 
 
 def spanning_tree_count(shape: BipartiteShape) -> int:

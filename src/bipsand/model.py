@@ -46,7 +46,7 @@ class BipartiteShape:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+        if type(self.m) is not int or type(self.n) is not int:  # bool excluded
             raise ValueError("shape entries must be integers")
         if self.m < 0 or self.n < 1:
             raise ValueError(f"need m >= 0 and n >= 1, got ({self.m}, {self.n})")
@@ -70,6 +70,8 @@ class Vertex:
     def __post_init__(self):
         if self.side not in ("top", "bottom", "sink"):
             raise ValueError(f"unknown side {self.side!r}")
+        if type(self.index) is not int:  # bool excluded
+            raise ValueError(f"vertex index must be an integer, got {self.index!r}")
         if self.side != "sink" and self.index < 1:
             raise ValueError("vertex index is 1-based")
 
@@ -177,6 +179,10 @@ class ToppleOracle:
     p: float = 0.5
 
     def __post_init__(self):
+        if type(self.seed) is not int:  # bool excluded
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
+            raise ValueError(f"p must be an int or a float, got {self.p!r}")
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         # p scales exactly by 2^64 in binary floating point
@@ -193,26 +199,28 @@ class ToppleOracle:
         return 1 if x < self._threshold else 0
 
 
-def _topple_slot(c: Configuration, v: Vertex) -> int:
-    """The engine slot of v, once v is checked to be a vertex of c that can topple."""
-    if v.side == "sink":
-        raise ValueError("the sink never topples")
-    m, n = c.shape.m, c.shape.n
+def _slot(c: Configuration, v: Vertex) -> int:
+    """The engine slot of the non-sink vertex v, once its index is checked
+    against c: top i sits at slot i-1, bottom j at m+j-1 (the sink at m+n)."""
+    m = c.shape.m
     if v.side == "top":
         if v.index > m:
             raise ValueError(f"top index {v.index} out of range for m={m}")
-        if c.top[v.index - 1] < n:
-            raise ValueError(f"vertex {v} is stable and cannot topple")
         return v.index - 1
-    if v.index > n:
-        raise ValueError(f"bottom index {v.index} out of range for n={n}")
-    if c.bottom[v.index - 1] < m + 1:
-        raise ValueError(f"vertex {v} is stable and cannot topple")
+    if v.index > c.shape.n:
+        raise ValueError(f"bottom index {v.index} out of range for n={c.shape.n}")
     return m + v.index - 1
 
 
-# The engine addresses vertices by slot: top i sits at slot i-1, bottom j
-# at slot m+j-1 and the sink at slot m+n.
+def _topple_slot(c: Configuration, v: Vertex) -> int:
+    """The slot of v, once v is checked to be a vertex of c that can topple."""
+    if v.side == "sink":
+        raise ValueError("the sink never topples")
+    s = _slot(c, v)
+    m = c.shape.m
+    if (c.top[s] < c.shape.n) if s < m else (c.bottom[s - m] < m + 1):
+        raise ValueError(f"vertex {v} is stable and cannot topple")
+    return s
 
 
 @lru_cache(maxsize=64)
@@ -381,17 +389,14 @@ def add_grain(c: Configuration, v: Vertex) -> Configuration:
     """Return c with one extra grain at the non-sink vertex v."""
     if v.side == "sink":
         raise ValueError("grains are only added at non-sink vertices")
-    m, n = c.shape.m, c.shape.n
-    if v.side == "top":
-        if v.index > m:
-            raise ValueError(f"top index {v.index} out of range for m={m}")
+    s = _slot(c, v)
+    m = c.shape.m
+    if s < m:
         top = list(c.top)
-        top[v.index - 1] += 1
+        top[s] += 1
         return Configuration(c.shape, tuple(top), c.bottom)
-    if v.index > n:
-        raise ValueError(f"bottom index {v.index} out of range for n={n}")
     bottom = list(c.bottom)
-    bottom[v.index - 1] += 1
+    bottom[s - m] += 1
     return Configuration(c.shape, c.top, tuple(bottom))
 
 
@@ -420,7 +425,6 @@ def trajectory(
     steps: int,
     seed: int,
     p: float = 0.5,
-    policy: str = "fifo",
 ) -> Iterator[Configuration]:
     """Yield the chain's stable state at times 0..steps, starting from all zeros.
 
@@ -430,8 +434,12 @@ def trajectory(
     pure function of the arguments.
     """
     _check_model(model)
+    if type(steps) is not int:  # bool excluded
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     m, n = shape.m, shape.n
     state = Configuration.zero(shape)
     yield state
@@ -441,7 +449,7 @@ def trajectory(
         oracle = None
         if model == "ssm":
             oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t), p)
-        state = markov_step(model, state, v, oracle, policy)
+        state = markov_step(model, state, v, oracle)
         yield state
 
 
@@ -451,11 +459,10 @@ def simulate(
     steps: int,
     seed: int,
     p: float = 0.5,
-    policy: str = "fifo",
 ) -> Counter:
     """Run the grain-addition chain; returns visit counts over stable states.
 
     The initial all-zero state at time 0 is included, so counts sum to
     steps + 1.
     """
-    return Counter(trajectory(model, shape, steps, seed, p, policy))
+    return Counter(trajectory(model, shape, steps, seed, p))

@@ -39,14 +39,12 @@ class MotzkinWord:
         object.__setattr__(self, "steps", tuple(self.steps))
         h = 0
         for s in self.steps:
-            if s not in _TO_CHAR:
+            rise = _RISE.get(s)
+            if rise is None:
                 raise ValueError(f"unknown step {s!r}")
-            if s == "U":
-                h += 1
-            elif s == "D":
-                h -= 1
-                if h < 0:
-                    raise ValueError("path dips below the axis")
+            h += rise
+            if h < 0:
+                raise ValueError("path dips below the axis")
         if h != 0:
             raise ValueError("path must end on the axis")
 

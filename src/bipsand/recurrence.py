@@ -39,13 +39,12 @@ def counts_below(values: Sequence[int], bound: int) -> tuple:
 
     Entries must lie in [0, bound); the result has length bound, is weakly
     increasing, and its last entry is len(values).  Computed by one
-    counting pass over the input.
+    counting pass over the input, which checks each value as it counts it.
     """
-    vals = tuple(values)
-    if vals and (min(vals) < 0 or max(vals) >= bound):
-        raise ValueError(f"values must lie in [0, {bound})")
     hist = [0] * bound
-    for v in vals:
+    for v in values:
+        if not 0 <= v < bound:
+            raise ValueError(f"values must lie in [0, {bound})")
         hist[v] += 1
     return tuple(accumulate(hist))
 

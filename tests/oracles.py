@@ -341,6 +341,20 @@ def all_words(m, n):
     return out
 
 
+def first_word_fault(steps):
+    """The first fault of a step tuple read left to right: 'unknown' for a
+    step outside U, D, HN, HE, 'dip' for a height below zero, 'end' for a
+    final height other than zero, or None for a valid word."""
+    h = 0
+    for s in steps:
+        if s not in ("U", "D", "HN", "HE"):
+            return "unknown"
+        h += (s == "U") - (s == "D")
+        if h < 0:
+            return "dip"
+    return None if h == 0 else "end"
+
+
 def word_area(word):
     total = Fraction(0)
     h = 0

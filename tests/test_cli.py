@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bipsand import Configuration, cli
+from bipsand import Configuration, TopplingStallError, cli
 from bipsand.cli import main
 
 
@@ -344,3 +344,12 @@ def test_enumerate_json_streams(monkeypatch):
     item = c.to_json_dict()
     assert written_before_second == ['{"configurations": [' + json.dumps(item, sort_keys=True)]
     assert out.getvalue() == json.dumps({"configurations": [item, item]}, sort_keys=True) + "\n"
+
+
+def test_stall_exits_one(capsys, monkeypatch):
+    def stall(c, oracle):
+        raise TopplingStallError("no stable state")
+
+    monkeypatch.setattr(cli, "stabilize_stochastic", stall)
+    code, out, err = run(capsys, "stabilize", "2,1;0,2", "--model", "ssm")
+    assert (code, out, err) == (1, "", "error: no stable state\n")

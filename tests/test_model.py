@@ -1,6 +1,7 @@
 """Core state, toppling, stabilization, and the grain-addition chain."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from bipsand import (
     trajectory,
     witness_sequence,
 )
+from bipsand._prf import DOMAIN_CHOICE, DOMAIN_STEP, prf64
 
 
 def cfg(text):
@@ -351,3 +353,103 @@ def test_unknown_model_has_one_message(call):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == "model must be one of ('asm', 'ssm'), got 'xyz'"
+
+
+def _message(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+_TOPPLE_CALLS = {
+    "add_grain": add_grain,
+    "topple_deterministic": topple_deterministic,
+    "topple_stochastic": lambda c, v: topple_stochastic(c, v, ToppleOracle(3), 0),
+}
+
+
+class TestOneSlotMap:
+    """add_grain and both single topples check a vertex index in one place."""
+
+    @pytest.mark.parametrize("name", list(_TOPPLE_CALLS))
+    def test_index_one_past_the_shape(self, name):
+        call, c = _TOPPLE_CALLS[name], cfg("9,9;9,9,9")
+        assert _message(lambda: call(c, Vertex("top", 3))) == "top index 3 out of range for m=2"
+        assert _message(lambda: call(c, Vertex("bottom", 4))) == "bottom index 4 out of range for n=3"
+
+    @pytest.mark.parametrize("name", list(_TOPPLE_CALLS))
+    def test_sink(self, name):
+        want = "grains are only added at non-sink vertices" if name == "add_grain" else "the sink never topples"
+        assert _message(lambda: _TOPPLE_CALLS[name](cfg("9;9"), Vertex("sink"))) == want
+
+    @pytest.mark.parametrize("name", ["topple_deterministic", "topple_stochastic"])
+    def test_stable_vertex(self, name):
+        call, c = _TOPPLE_CALLS[name], cfg("0,5;2,0,3")
+        assert _message(lambda: call(c, Vertex("top", 1))) == (
+            "vertex Vertex(side='top', index=1) is stable and cannot topple")
+        assert _message(lambda: call(c, Vertex("bottom", 2))) == (
+            "vertex Vertex(side='bottom', index=2) is stable and cannot topple")
+
+    def test_add_grain_at_a_stable_vertex(self):
+        assert add_grain(cfg("0,5;2,0,3"), Vertex("bottom", 2)).to_text() == "0,5;2,1,3"
+
+
+class TestScalarArguments:
+    """Non-int scalars (bool included) fail with ValueError where they enter."""
+
+    @pytest.mark.parametrize("index", [1.5, True, "1"])
+    def test_vertex_index(self, index):
+        assert _message(lambda: Vertex("top", index)) == (
+            f"vertex index must be an integer, got {index!r}")
+
+    @pytest.mark.parametrize("m, n", [(True, 1), (1, True), (1.0, 1), (1, 2.0)])
+    def test_shape_entries(self, m, n):
+        assert _message(lambda: BipartiteShape(m, n)) == "shape entries must be integers"
+
+    @pytest.mark.parametrize("seed", ["7", 1.5, True])
+    def test_oracle_seed(self, seed):
+        assert _message(lambda: ToppleOracle(seed)) == f"seed must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("p", ["0.5", True, None])
+    def test_oracle_probability(self, p):
+        assert _message(lambda: ToppleOracle(1, p=p)) == f"p must be an int or a float, got {p!r}"
+        assert ToppleOracle(1, p=1) == ToppleOracle(1, p=1.0)
+
+    @pytest.mark.parametrize("steps", [1.5, True, "3"])
+    def test_trajectory_steps(self, steps):
+        shape = BipartiteShape(2, 2)
+        assert _message(lambda: list(trajectory("asm", shape, steps, 0))) == (
+            f"steps must be an integer, got {steps!r}")
+
+    @pytest.mark.parametrize("seed", [1.5, True, "0"])
+    def test_trajectory_seed(self, seed):
+        shape = BipartiteShape(2, 2)
+        assert _message(lambda: list(trajectory("ssm", shape, 3, seed))) == (
+            f"seed must be an integer, got {seed!r}")
+
+
+class TestChainHasNoPolicy:
+    """Committed bits make each stabilization order-free, so the chain has no
+    policy: simulate equals a hand-written markov_step chain under every one."""
+
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "min-index"])
+    @pytest.mark.parametrize("model", ["asm", "ssm"])
+    def test_simulate_matches_every_policy(self, model, policy):
+        steps = 150
+        for k in (2, 3):
+            shape = BipartiteShape(k, k)
+            for seed in (1, 2, 3):
+                state = Configuration.zero(shape)
+                visits = Counter([state])
+                for t in range(1, steps + 1):
+                    r = prf64(seed, DOMAIN_CHOICE, t) % (2 * k)
+                    v = Vertex("top", r + 1) if r < k else Vertex("bottom", r - k + 1)
+                    oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t)) if model == "ssm" else None
+                    state = markov_step(model, state, v, oracle, policy)
+                    visits[state] += 1
+                assert simulate(model, shape, steps, seed) == visits
+
+    @pytest.mark.parametrize("call", [simulate, lambda *a, **kw: list(trajectory(*a, **kw))])
+    def test_policy_is_not_a_parameter(self, call):
+        with pytest.raises(TypeError):
+            call("asm", BipartiteShape(2, 2), 3, 0, policy="lifo")

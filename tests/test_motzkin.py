@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bipsand import (
@@ -141,3 +143,34 @@ class TestPolyominoRoute:
                     w = config_to_motzkin(c)
                     p = config_to_polyomino(c)
                     assert w.area() == p.area() - (m + n)
+
+
+class TestOneHeightRule:
+    """The constructor reads each step's height change from one table, and
+    the first fault in step order wins."""
+
+    @pytest.mark.parametrize("steps, message", [
+        (("D", "X"), "path dips below the axis"),
+        (("X", "D"), "unknown step 'X'"),
+        (("U",), "path must end on the axis"),
+    ])
+    def test_first_fault_in_step_order(self, steps, message):
+        with pytest.raises(ValueError) as exc:
+            MotzkinWord(steps)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["U", "D", "HN", "HE", "X"]), max_size=12))
+    def test_matches_walk_oracle(self, steps):
+        messages = {
+            "unknown": "unknown step 'X'",
+            "dip": "path dips below the axis",
+            "end": "path must end on the axis",
+        }
+        want = oracles.first_word_fault(steps)
+        if want is None:
+            assert MotzkinWord(steps).steps == tuple(steps)
+        else:
+            with pytest.raises(ValueError) as exc:
+                MotzkinWord(steps)
+            assert str(exc.value) == messages[want]

@@ -450,3 +450,20 @@ class TestGreedyWitnessScan:
                     assert all(top[i - 1] < len(b) for i in a)
                     assert all(bottom[j - 1] < len(a) for j in b)
         assert len(verdicts) == 4
+
+
+class TestCountsBelowOnePass:
+    """counts_below checks each value as it counts it, in one pass."""
+
+    def test_generator_input(self):
+        assert counts_below((v for v in (0, 2, 2, 1)), 4) == (1, 2, 4, 4)
+
+    @pytest.mark.parametrize("values", [(0, -1), (0, 3), (3, -1)])
+    def test_out_of_range_message(self, values):
+        with pytest.raises(ValueError) as exc:
+            counts_below(values, 3)
+        assert str(exc.value) == "values must lie in [0, 3)"
+
+    def test_negative_bound_with_empty_input(self):
+        assert counts_below((), -2) == ()
+        assert counts_below(iter(()), -1) == ()
