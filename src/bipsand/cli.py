@@ -64,10 +64,16 @@ def _cmd_check(args) -> int:
 
 def _cmd_stabilize(args) -> int:
     c = _parse_config(args.config)
+    # unset, --max-firings leaves stabilize_stochastic its own default budget
+    budget = {} if args.max_firings is None else {"max_firings": args.max_firings}
+    if budget and args.model == "asm":
+        raise ValueError("--max-firings applies to --model ssm only: asm has no firing budget")
+    if budget and args.max_firings < 0:
+        raise ValueError("--max-firings must be >= 0")
     if args.model == "asm":
         stable, (ft, fb) = stabilize_deterministic(c)
     else:
-        stable, (ft, fb) = stabilize_stochastic(c, ToppleOracle(args.seed, args.p))
+        stable, (ft, fb) = stabilize_stochastic(c, ToppleOracle(args.seed, args.p), **budget)
     obj = {"configuration": stable.to_json_dict(), "firings": {"top": list(ft), "bottom": list(fb)}}
     firings = ",".join(map(str, ft)) + ";" + ",".join(map(str, fb))
     _emit(args, obj, f"{stable.to_text()}\nfirings: {firings}")
@@ -178,7 +184,12 @@ _SORTED = [("--sorted", {"action": "store_true"})]
 # group comes first on its parser, and every parser ends with --format.
 _COMMANDS = {
     "check": (_cmd_check, "recurrence check for a stable configuration", _CONFIG + _MODEL),
-    "stabilize": (_cmd_stabilize, "topple a configuration until stable", _CONFIG + _MODEL + _COINS),
+    "stabilize": (
+        _cmd_stabilize,
+        "topple a configuration until stable",
+        _CONFIG + _MODEL + _COINS
+        + [("--max-firings", {"type": int, "help": "ssm firing budget (default 10**9)"})],
+    ),
     "simulate": (
         _cmd_simulate,
         "run the grain-addition chain",

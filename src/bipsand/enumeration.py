@@ -1,9 +1,10 @@
 """Exhaustive generators and counting harnesses at desk scale.
 
 Guarded brute force gives stable-configuration streams in lexicographic
-order, recurrent censuses with level histograms, and the empirical support
-of simulated chains.  The spanning-tree count, a closed form, is an
-independent count of deterministic-model recurrent states.
+order and the empirical support of simulated chains.  The census counts
+recurrent configurations by level with a dynamic program over the sorted
+picture, listing none of them.  The spanning-tree count, a closed form,
+is an independent count of deterministic-model recurrent states.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from math import comb
 from typing import Iterator
 
 from .errors import GuardError
-from .model import BipartiteShape, Configuration, trajectory
-from .recurrence import is_recurrent, level
+from .model import BipartiteShape, Configuration, _check_model, trajectory
+from .recurrence import is_recurrent
 
 CSV_HEADER = "m,n,model,sorted,count,level_poly"
 
@@ -91,17 +92,99 @@ class CensusRow:
         return f"{self.m},{self.n},{self.model},{flag},{self.total},{self.level_poly()}"
 
 
+def _dp_work(m: int, n: int) -> int:
+    """An upper bound on the census DP's inner steps, from (m, n) alone.
+
+    For each of the m+1 run values and each run start j0 and length r with
+    j0 + r <= n: at most (m+1)(j0*m + 1) states (k, D) times at most
+    (m+1)(r*m + 1) walk ends (k_end, sum of k).  The sums over (j0, r) are
+    binomial closed forms.
+    """
+    pairs = m * m * comb(n + 2, 4) + m * (comb(n + 1, 3) + comb(n + 2, 3)) + comb(n + 1, 2)
+    return (m + 1) ** 3 * pairs
+
+
+def _k_walks(m: int, n: int, k: int, sorted_only: bool) -> list:
+    """Row r (1..n): the weakly increasing r-step walks from k that stay <= m,
+    merged as (k_end, sum of the r values, weight) and sorted by k_end.
+
+    A step from k to k2 weighs C(m-k, k2-k), the ways to choose the top
+    vertices that enter, or 1 when sorted_only.
+    """
+    rows, cur = [[]], {(k, 0): 1}
+    for _ in range(n):
+        nxt = {}
+        for (ke, s), w in cur.items():
+            for k2 in range(ke, m + 1):
+                key = (k2, s + k2)
+                nxt[key] = nxt.get(key, 0) + (w if sorted_only else w * comb(m - ke, k2 - ke))
+        cur = nxt
+        rows.append(sorted((ke, s, w) for (ke, s), w in cur.items()))
+    return rows
+
+
 def census(
     shape: BipartiteShape,
     model: str,
     sorted_only: bool = False,
     limit: int = 10**8,
 ) -> CensusRow:
-    """Count recurrent configurations by level over the full stable stream."""
+    """Count recurrent configurations by level, listing none of them.
+
+    A stable configuration is recurrent iff its sorted bottom side
+    b_(1) <= ... <= b_(n) dominates its k-vector: b_(j) >= k_j for asm, and
+    D_j = sum over i <= j of (b_(i) - k_i) >= 0 for ssm; its level is D_n.
+    So an exact integer DP walks j = 1..n in maximal runs of equal b_(j),
+    carrying (k_j, D_j).  k rises along a run of fixed value, so b - k
+    falls and D is concave there: both checks need only the run's end.
+    The count needs k_n = m.  Unsorted counts weigh each sorted pair by its
+    orbit size: C(m - k, k' - k) per step of k and C(n - j0, r) per run of
+    length r after position j0; sorted weights are 1.
+
+    The asm level polynomial is the Tutte polynomial T(1, q) of K_{m+1,n}
+    (Merino López 1997), and the sorted asm totals are the Narayana
+    numbers N(m+n, m+1) (Dukes, Le Borgne 2013).  limit bounds an upper
+    bound on the DP's inner steps, computed from (m, n) before anything
+    is built; GuardError names both when the bound exceeds limit.
+    """
+    _check_model(model)
     m, n = shape.m, shape.n
+    work = _dp_work(m, n)
+    if work > limit:
+        raise GuardError(f"census of K{m},{n} needs up to {work} DP steps, above the limit {limit}")
+    asm = model == "asm"
+    walks = {}
+    # at[j][k_j][D_j]: weight of the sorted prefixes of length j whose last
+    # run is below the value v being placed; at[0] is the empty prefix.
+    at = [{} for _ in range(n + 1)]
+    at[0] = {0: {0: 1}}
+    for v in range(m + 1):
+        # j0 descends, so a run of value v lands at j0 + r, which this v
+        # has already passed: no run of v follows another.
+        for j0 in range(n - 1, -1, -1):
+            for k, levels in at[j0].items():
+                if k not in walks:
+                    walks[k] = _k_walks(m, n, k, sorted_only)
+                items = levels.items()
+                # nothing follows a run of the top value m, so it must reach n
+                for r in range(1 if v < m else n - j0, n - j0 + 1):
+                    run_w = 1 if sorted_only else comb(n - j0, r)
+                    dst = at[j0 + r]
+                    for ke, s, w in walks[k][r]:
+                        if asm and ke > v:
+                            break
+                        if ke < m and j0 + r == n:  # the count needs k_n = m
+                            continue
+                        off, mult = r * v - s, run_w * w
+                        out = dst.setdefault(ke, {})
+                        get = out.get
+                        for d, x in items:
+                            d2 = d + off
+                            if d2 >= 0:
+                                out[d2] = get(d2, 0) + x * mult
     counts = [0] * (m * (n - 1) + 1)
-    for c in enumerate_recurrent(shape, model, sorted_only, limit):
-        counts[level(c)] += 1
+    for d, x in at[n].get(m, {}).items():
+        counts[d] = x
     return CensusRow(m, n, model, sorted_only, sum(counts), tuple(counts))
 
 

@@ -431,7 +431,8 @@ def trajectory(
     The grain-landing vertex at each step is drawn from the seed via a key
     domain disjoint from the oracle bits, and each ssm step stabilizes with
     a fresh child oracle derived from (seed, step), so the whole run is a
-    pure function of the arguments.
+    pure function of the arguments.  The arguments are checked at the
+    call, before the first state is drawn.
     """
     _check_model(model)
     if type(steps) is not int:  # bool excluded
@@ -440,6 +441,13 @@ def trajectory(
         raise ValueError("steps must be >= 0")
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    return _chain(model, shape, steps, seed, p)
+
+
+def _chain(
+    model: str, shape: BipartiteShape, steps: int, seed: int, p: float
+) -> Iterator[Configuration]:
+    """trajectory's generator, on arguments it has checked."""
     m, n = shape.m, shape.n
     state = Configuration.zero(shape)
     yield state

@@ -37,15 +37,19 @@ def _require_stable(c: Configuration, op: str) -> None:
 def counts_below(values: Sequence[int], bound: int) -> tuple:
     """The k-vector: entry j (1-based) counts values strictly below j.
 
-    Entries must lie in [0, bound); the result has length bound, is weakly
-    increasing, and its last entry is len(values).  Computed by one
-    counting pass over the input, which checks each value as it counts it.
+    Entries must be integers in [0, bound); the result has length bound,
+    is weakly increasing, and its last entry is len(values).  Computed by
+    one counting pass over the input, which checks each value as it counts
+    it; a non-integer entry fails the comparison or the list index.
     """
     hist = [0] * bound
-    for v in values:
-        if not 0 <= v < bound:
-            raise ValueError(f"values must lie in [0, {bound})")
-        hist[v] += 1
+    try:
+        for v in values:
+            if not 0 <= v < bound:
+                raise ValueError(f"values must lie in [0, {bound})")
+            hist[v] += 1
+    except TypeError:
+        raise ValueError(f"values must be integers in [0, {bound})") from None
     return tuple(accumulate(hist))
 
 

@@ -179,6 +179,25 @@ def brute_level_poly(configs, m, n):
     return hist
 
 
+def naive_census(m, n, model, sorted_only):
+    """(total, level counts) of the recurrent configurations, by testing every
+    stable one (weakly increasing sides only, if sorted_only) for a forbidden
+    subconfiguration.  Level counts run over 0..m(n-1)."""
+    if sorted_only:
+        tuples = itertools.combinations_with_replacement
+    else:
+        def tuples(values, k):
+            return itertools.product(values, repeat=k)
+    witness = asm_witness_exists_fast if model == "asm" else ssm_witness_exists_fast
+    counts = [0] * (m * (n - 1) + 1)
+    bottoms = list(tuples(range(m + 1), n))
+    for top in tuples(range(n), m):
+        for bottom in bottoms:
+            if not witness(top, bottom):
+                counts[sum(top) + sum(bottom) - m * n] += 1
+    return sum(counts), tuple(counts)
+
+
 # ----------------------------------------------------------------- ferrers
 
 def is_ferrers(rows):

@@ -2,6 +2,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -353,3 +354,37 @@ def test_stall_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "stabilize_stochastic", stall)
     code, out, err = run(capsys, "stabilize", "2,1;0,2", "--model", "ssm")
     assert (code, out, err) == (1, "", "error: no stable state\n")
+
+
+class TestMaxFirings:
+    def test_tiny_p_stalls_within_the_budget(self, capsys):
+        # without the budget this run would take hours (p just above 2^-64)
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "stabilize", "5;0", "--model", "ssm",
+            "--p", "5.421010862427522e-20", "--max-firings", "1000",
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no stable state after 1000 firings on K0_{1,1}")
+
+    def test_budget_large_enough_changes_nothing(self, capsys):
+        plain = run(capsys, "stabilize", "4,0;0,3", "--model", "ssm", "--seed", "7")
+        budget = run(capsys, "stabilize", "4,0;0,3", "--model", "ssm", "--seed", "7",
+                     "--max-firings", "100000")
+        assert plain == budget and plain[0] == 0
+
+    def test_asm_refuses_a_budget(self, capsys):
+        code, out, err = run(capsys, "stabilize", "5;0", "--model", "asm", "--max-firings", "10")
+        assert (code, out) == (2, "")
+        assert "--max-firings applies to --model ssm only" in err
+
+    def test_negative_budget(self, capsys):
+        code, _, err = run(capsys, "stabilize", "5;0", "--model", "ssm", "--max-firings", "-1")
+        assert (code, err) == (2, "error: --max-firings must be >= 0\n")
+
+
+def test_census_count_beyond_int64(capsys):
+    code, out, _ = run(capsys, "census", "--m", "10", "--n", "10", "--model", "asm")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[4] == "23579476910000000000"

@@ -1,5 +1,6 @@
 """Exhaustive listings, the census, tree counts, and chain support."""
 import math
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from bipsand import (
     level,
     spanning_tree_count,
 )
+from bipsand.enumeration import _dp_work
 
 
 class TestEnumerateStable:
@@ -147,3 +149,88 @@ class TestEmpiricalSupport:
         full = empirical_support("asm", shape, 400, seed=5, burn_in=0)
         late = empirical_support("asm", shape, 400, seed=5, burn_in=100)
         assert late <= full
+
+
+def _narayana(a, b):
+    return math.comb(a, b) * math.comb(a, b - 1) // a
+
+
+class TestCensusByDynamicProgramming:
+    def test_matches_brute_force_oracle(self):
+        for m in range(0, 5):
+            for n in range(1, 5):
+                for model in ("asm", "ssm"):
+                    for sorted_only in (False, True):
+                        row = census(BipartiteShape(m, n), model, sorted_only)
+                        want = oracles.naive_census(m, n, model, sorted_only)
+                        assert (row.total, row.level_counts) == want, (m, n, model, sorted_only)
+
+    def test_unsorted_asm_total_is_the_spanning_tree_count(self):
+        for m in range(0, 9):
+            for n in range(1, 9):
+                shape = BipartiteShape(m, n)
+                assert census(shape, "asm").total == spanning_tree_count(shape)
+
+    def test_sorted_asm_totals_are_narayana_numbers(self):
+        for m in range(0, 7):
+            for n in range(1, 7):
+                row = census(BipartiteShape(m, n), "asm", sorted_only=True)
+                assert row.total == _narayana(m + n, m + 1), (m, n)
+
+    def test_ssm_counts_at_least_asm(self):
+        for m in range(0, 7):
+            for n in range(1, 7):
+                for sorted_only in (False, True):
+                    asm = census(BipartiteShape(m, n), "asm", sorted_only)
+                    ssm = census(BipartiteShape(m, n), "ssm", sorted_only)
+                    assert ssm.total >= asm.total
+                    for row in (asm, ssm):
+                        assert sum(row.level_counts) == row.total
+                        assert len(row.level_counts) == m * (n - 1) + 1
+
+    def test_counts_beyond_int64(self):
+        row = census(BipartiteShape(10, 10), "asm")
+        assert row.total == 23_579_476_910_000_000_000 == spanning_tree_count(BipartiteShape(10, 10))
+
+    def test_no_top_vertex_on_a_long_bottom_side(self):
+        for model in ("asm", "ssm"):
+            t0 = time.perf_counter()
+            row = census(BipartiteShape(0, 10_000), model)
+            assert time.perf_counter() - t0 < 2.0
+            assert (row.total, row.level_counts) == (1, (1,))
+
+    def test_unknown_model_is_checked_before_the_guard(self):
+        for shape in (BipartiteShape(2, 2), BipartiteShape(1000, 1000)):
+            with pytest.raises(ValueError, match=r"model must be one of \('asm', 'ssm'\), got 'xyz'"):
+                census(shape, "xyz")
+
+
+class TestCensusGuard:
+    def test_huge_shape_refused_before_any_work(self):
+        t0 = time.perf_counter()
+        with pytest.raises(GuardError, match="DP steps"):
+            census(BipartiteShape(1000, 1000), "ssm")
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_small_explicit_limit_refuses_4x4(self):
+        with pytest.raises(GuardError) as info:
+            census(BipartiteShape(4, 4), "asm", limit=1000)
+        assert str(info.value) == "census of K4,4 needs up to 46250 DP steps, above the limit 1000"
+
+    def test_work_bound_is_the_sum_over_run_starts_and_lengths(self):
+        # (m+1) run values x states (m+1)(j0*m+1) x walk ends (m+1)(r*m+1)
+        for m in range(0, 7):
+            for n in range(1, 7):
+                want = (m + 1) ** 3 * sum(
+                    (j0 * m + 1) * (r * m + 1) for j0 in range(n) for r in range(1, n - j0 + 1)
+                )
+                assert _dp_work(m, n) == want
+
+    def test_limit_bounds_dp_work_not_stable_configurations(self):
+        # 4x4 has 160,000 stable configurations but needs far fewer DP steps
+        row = census(BipartiteShape(4, 4), "asm", limit=100_000)
+        assert row.total == 32_000
+
+    def test_default_admits_10x10(self):
+        row = census(BipartiteShape(10, 10), "ssm")
+        assert row.total >= spanning_tree_count(BipartiteShape(10, 10))

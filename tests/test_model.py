@@ -453,3 +453,19 @@ class TestChainHasNoPolicy:
     def test_policy_is_not_a_parameter(self, call):
         with pytest.raises(TypeError):
             call("asm", BipartiteShape(2, 2), 3, 0, policy="lifo")
+
+
+class TestTrajectoryChecksAtTheCall:
+    """trajectory rejects bad arguments when called, not on the first next()."""
+
+    @pytest.mark.parametrize(
+        "model, steps, seed, want",
+        [
+            ("xyz", 3, 0, "model must be one of ('asm', 'ssm'), got 'xyz'"),
+            ("asm", 1.5, 0, "steps must be an integer, got 1.5"),
+            ("asm", -1, 0, "steps must be >= 0"),
+            ("ssm", 3, "0", "seed must be an integer, got '0'"),
+        ],
+    )
+    def test_bad_argument_raises_without_iterating(self, model, steps, seed, want):
+        assert _message(lambda: trajectory(model, BipartiteShape(2, 2), steps, seed)) == want

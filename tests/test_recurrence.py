@@ -467,3 +467,18 @@ class TestCountsBelowOnePass:
     def test_negative_bound_with_empty_input(self):
         assert counts_below((), -2) == ()
         assert counts_below(iter(()), -1) == ()
+
+
+class TestCountsBelowRejectsNonIntegers:
+    """A non-integer entry gives ValueError, not the list index's TypeError."""
+
+    @pytest.mark.parametrize("values", [(1.5,), (0, "1"), (None,)])
+    def test_message(self, values):
+        with pytest.raises(ValueError) as exc:
+            counts_below(values, 3)
+        assert str(exc.value) == "values must be integers in [0, 3)"
+
+    def test_in_range_float_is_refused(self):
+        # 1.5 passes the range test, so only the index can catch it
+        with pytest.raises(ValueError):
+            counts_below((0, 1.5, 2), 3)
