@@ -62,14 +62,21 @@ def _cmd_check(args) -> int:
     return 0 if verdict else 1
 
 
+def _budget(args) -> dict:
+    """--max-firings as keyword arguments; unset, it leaves the library's
+    default ssm firing budget."""
+    if args.max_firings is None:
+        return {}
+    if args.model == "asm":
+        raise ValueError("--max-firings applies to --model ssm only: asm has no firing budget")
+    if args.max_firings < 0:
+        raise ValueError("--max-firings must be >= 0")
+    return {"max_firings": args.max_firings}
+
+
 def _cmd_stabilize(args) -> int:
     c = _parse_config(args.config)
-    # unset, --max-firings leaves stabilize_stochastic its own default budget
-    budget = {} if args.max_firings is None else {"max_firings": args.max_firings}
-    if budget and args.model == "asm":
-        raise ValueError("--max-firings applies to --model ssm only: asm has no firing budget")
-    if budget and args.max_firings < 0:
-        raise ValueError("--max-firings must be >= 0")
+    budget = _budget(args)
     if args.model == "asm":
         stable, (ft, fb) = stabilize_deterministic(c)
     else:
@@ -81,8 +88,9 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    budget = _budget(args)
     shape = BipartiteShape(args.m, args.n)
-    visits = simulate(args.model, shape, args.steps, args.seed, args.p)
+    visits = simulate(args.model, shape, args.steps, args.seed, args.p, **budget)
     items = sorted(visits.items(), key=lambda kv: (kv[0].top, kv[0].bottom))
     rows = [{**c.to_json_dict(), "count": k} for c, k in items]
     _emit(args, {"visits": rows}, "\n".join(f"{c.to_text()} {k}" for c, k in items))
@@ -179,6 +187,7 @@ _MODEL_IF_NEEDED = [("--model", {"choices": MODELS})]
 _SHAPE = [("--m", {"type": int, "required": True}), ("--n", {"type": int, "required": True})]
 _COINS = [("--seed", {"type": int, "default": 0}), ("--p", {"type": float, "default": 0.5})]
 _SORTED = [("--sorted", {"action": "store_true"})]
+_BUDGET = [("--max-firings", {"type": int, "help": "ssm firing budget (default 10**9)"})]
 
 # Subcommand -> (handler, help, arguments in usage order).  biject's --to/--from
 # group comes first on its parser, and every parser ends with --format.
@@ -187,13 +196,12 @@ _COMMANDS = {
     "stabilize": (
         _cmd_stabilize,
         "topple a configuration until stable",
-        _CONFIG + _MODEL + _COINS
-        + [("--max-firings", {"type": int, "help": "ssm firing budget (default 10**9)"})],
+        _CONFIG + _MODEL + _COINS + _BUDGET,
     ),
     "simulate": (
         _cmd_simulate,
         "run the grain-addition chain",
-        _MODEL + _SHAPE + [("--steps", {"type": int, "required": True})] + _COINS,
+        _MODEL + _SHAPE + [("--steps", {"type": int, "required": True})] + _COINS + _BUDGET,
     ),
     "level": (_cmd_level, "grain total minus m*n", _CONFIG),
     "biject": (

@@ -104,18 +104,20 @@ def _dp_work(m: int, n: int) -> int:
     return (m + 1) ** 3 * pairs
 
 
-def _k_walks(m: int, n: int, k: int, sorted_only: bool) -> list:
-    """Row r (1..n): the weakly increasing r-step walks from k that stay <= m,
-    merged as (k_end, sum of the r values, weight) and sorted by k_end.
+def _k_walks(m: int, steps: int, k: int, sorted_only: bool) -> list:
+    """Row r (1..steps): the weakly increasing r-step walks from k that stay
+    <= m, merged as (k_end, sum of the r values, weight) and sorted by k_end.
+    The last row holds only the walks that end at m: census reads it only
+    for a run that ends the sequence, where k_n = m.
 
     A step from k to k2 weighs C(m-k, k2-k), the ways to choose the top
     vertices that enter, or 1 when sorted_only.
     """
     rows, cur = [[]], {(k, 0): 1}
-    for _ in range(n):
+    for r in range(1, steps + 1):
         nxt = {}
         for (ke, s), w in cur.items():
-            for k2 in range(ke, m + 1):
+            for k2 in range(ke if r < steps else m, m + 1):
                 key = (k2, s + k2)
                 nxt[key] = nxt.get(key, 0) + (w if sorted_only else w * comb(m - ke, k2 - ke))
         cur = nxt
@@ -163,8 +165,11 @@ def census(
         # has already passed: no run of v follows another.
         for j0 in range(n - 1, -1, -1):
             for k, levels in at[j0].items():
+                if not levels:  # ssm: no run into k kept D >= 0
+                    continue
                 if k not in walks:
-                    walks[k] = _k_walks(m, n, k, sorted_only)
+                    # k > 0 sits at j0 >= 1, so its runs take at most n - 1 steps
+                    walks[k] = _k_walks(m, n - (k > 0), k, sorted_only)
                 items = levels.items()
                 # nothing follows a run of the top value m, so it must reach n
                 for r in range(1 if v < m else n - j0, n - j0 + 1):

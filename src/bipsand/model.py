@@ -406,8 +406,13 @@ def markov_step(
     v: Vertex,
     oracle: ToppleOracle | None = None,
     policy: str = "fifo",
+    max_firings: int = 10**9,
 ) -> Configuration:
-    """One step of the grain-addition chain: add a grain at v, then stabilize."""
+    """One step of the grain-addition chain: add a grain at v, then stabilize.
+
+    max_firings is the ssm firing budget (see stabilize_stochastic); asm
+    needs none.
+    """
     _check_model(model)
     if not c.is_stable:
         raise ValueError("markov_step starts from a stable configuration")
@@ -416,7 +421,7 @@ def markov_step(
         return stabilize_deterministic(bumped, policy)[0]
     if oracle is None:
         raise ValueError("ssm steps need a ToppleOracle")
-    return stabilize_stochastic(bumped, oracle, policy)[0]
+    return stabilize_stochastic(bumped, oracle, policy, max_firings)[0]
 
 
 def trajectory(
@@ -425,14 +430,16 @@ def trajectory(
     steps: int,
     seed: int,
     p: float = 0.5,
+    max_firings: int = 10**9,
 ) -> Iterator[Configuration]:
     """Yield the chain's stable state at times 0..steps, starting from all zeros.
 
     The grain-landing vertex at each step is drawn from the seed via a key
     domain disjoint from the oracle bits, and each ssm step stabilizes with
     a fresh child oracle derived from (seed, step), so the whole run is a
-    pure function of the arguments.  The arguments are checked at the
-    call, before the first state is drawn.
+    pure function of the arguments.  max_firings bounds each ssm step's
+    stabilization, which raises TopplingStallError past it.  The arguments
+    are checked at the call, before the first state is drawn.
     """
     _check_model(model)
     if type(steps) is not int:  # bool excluded
@@ -441,11 +448,15 @@ def trajectory(
         raise ValueError("steps must be >= 0")
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    return _chain(model, shape, steps, seed, p)
+    if type(max_firings) is not int:
+        raise ValueError(f"max_firings must be an integer, got {max_firings!r}")
+    if max_firings < 0:
+        raise ValueError("max_firings must be >= 0")
+    return _chain(model, shape, steps, seed, p, max_firings)
 
 
 def _chain(
-    model: str, shape: BipartiteShape, steps: int, seed: int, p: float
+    model: str, shape: BipartiteShape, steps: int, seed: int, p: float, max_firings: int
 ) -> Iterator[Configuration]:
     """trajectory's generator, on arguments it has checked."""
     m, n = shape.m, shape.n
@@ -457,7 +468,7 @@ def _chain(
         oracle = None
         if model == "ssm":
             oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t), p)
-        state = markov_step(model, state, v, oracle)
+        state = markov_step(model, state, v, oracle, max_firings=max_firings)
         yield state
 
 
@@ -467,10 +478,11 @@ def simulate(
     steps: int,
     seed: int,
     p: float = 0.5,
+    max_firings: int = 10**9,
 ) -> Counter:
     """Run the grain-addition chain; returns visit counts over stable states.
 
     The initial all-zero state at time 0 is included, so counts sum to
-    steps + 1.
+    steps + 1.  max_firings is each ssm step's firing budget.
     """
-    return Counter(trajectory(model, shape, steps, seed, p))
+    return Counter(trajectory(model, shape, steps, seed, p, max_firings))

@@ -19,14 +19,17 @@ from itertools import accumulate
 from operator import ge
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import GuardError
 from .model import BipartiteShape, Configuration, _check_model
 
 # From this many entries on (m+n) numpy beats pure Python, tuple-to-array
 # conversion included; the two paths tie at about 160 (CHANGES.md has the table).
 _NP_MIN = 192
+
+# numpy, imported by the first check that reaches _NP_MIN, so that small
+# checks and every other command never pay for loading it.  A value already
+# set here (a caller's stand-in) is kept.
+np = None
 
 
 def _require_stable(c: Configuration, op: str) -> None:
@@ -64,8 +67,11 @@ def _dominates(lower: Sequence[int], upper: Sequence[int], rowwise: bool) -> boo
 def _check(c: Configuration, rowwise: bool) -> bool:
     """Dominance of the sorted bottom side over the k-vector: rowwise for
     asm, prefixwise for ssm.  numpy from _NP_MIN entries on, pure Python below."""
+    global np
     m, n = c.shape.m, c.shape.n
     if m + n >= _NP_MIN:
+        if np is None:
+            import numpy as np
         top = np.asarray(c.top, dtype=np.int64)
         bottom = np.asarray(c.bottom, dtype=np.int64)
         k = np.cumsum(np.bincount(top, minlength=n))

@@ -388,3 +388,34 @@ def test_census_count_beyond_int64(capsys):
     code, out, _ = run(capsys, "census", "--m", "10", "--n", "10", "--model", "asm")
     assert code == 0
     assert out.splitlines()[1].split(",")[4] == "23579476910000000000"
+
+
+class TestSimulateMaxFirings:
+    """simulate --max-firings: the budget stabilize takes, with its checks."""
+
+    TINY_P = "5.421010862427522e-20"
+
+    def test_tiny_p_stalls_within_the_budget(self, capsys):
+        # without the budget each step would take hours
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--model", "ssm", "--m", "1", "--n", "1",
+                             "--steps", "3", "--p", self.TINY_P, "--max-firings", "1000")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: no stable state after 1000 firings on K0_{1,1}")
+
+    def test_budget_large_enough_changes_nothing(self, capsys):
+        argv = ["simulate", "--model", "ssm", "--m", "3", "--n", "3", "--steps", "100", "--seed", "4"]
+        plain = run(capsys, *argv)
+        assert run(capsys, *argv, "--max-firings", "100000") == plain and plain[0] == 0
+
+    def test_asm_refuses_a_budget(self, capsys):
+        code, out, err = run(capsys, "simulate", "--model", "asm", "--m", "1", "--n", "1",
+                             "--steps", "3", "--max-firings", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-firings applies to --model ssm only: asm has no firing budget\n"
+
+    def test_negative_budget(self, capsys):
+        code, _, err = run(capsys, "simulate", "--model", "ssm", "--m", "1", "--n", "1",
+                           "--steps", "3", "--max-firings", "-1")
+        assert (code, err) == (2, "error: --max-firings must be >= 0\n")

@@ -1,6 +1,7 @@
 """Core state, toppling, stabilization, and the grain-addition chain."""
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -469,3 +470,44 @@ class TestTrajectoryChecksAtTheCall:
     )
     def test_bad_argument_raises_without_iterating(self, model, steps, seed, want):
         assert _message(lambda: trajectory(model, BipartiteShape(2, 2), steps, seed)) == want
+
+
+class TestChainFiringBudget:
+    """max_firings bounds each ssm step of the chain, as in stabilize_stochastic."""
+
+    TINY_P = 5.421010862427522e-20  # just above 2^-64: a step would take hours
+
+    def test_tiny_p_stalls_within_the_budget(self):
+        t0 = time.perf_counter()
+        with pytest.raises(TopplingStallError) as exc:
+            simulate("ssm", BipartiteShape(1, 1), 3, 0, self.TINY_P, max_firings=1000)
+        assert time.perf_counter() - t0 < 1.0
+        assert str(exc.value).startswith("no stable state after 1000 firings on K0_{1,1}")
+
+    def test_markov_step_passes_the_budget_on(self):
+        c = Configuration.from_text("0;0")
+        with pytest.raises(TopplingStallError):
+            markov_step("ssm", c, Vertex("top", 1), ToppleOracle(0, self.TINY_P), max_firings=10)
+        assert markov_step("asm", c, Vertex("top", 1), max_firings=0) == Configuration.from_text("0;1")
+
+    @pytest.mark.parametrize("model", ["asm", "ssm"])
+    def test_default_budget_changes_nothing(self, model):
+        shape = BipartiteShape(3, 3)
+        plain = simulate(model, shape, 200, 5)
+        assert simulate(model, shape, 200, 5, max_firings=10**9) == plain
+        assert list(trajectory(model, shape, 200, 5, 0.5, 10**6)) == list(
+            trajectory(model, shape, 200, 5))
+
+    def test_asm_ignores_the_budget(self):
+        shape = BipartiteShape(3, 3)
+        assert simulate("asm", shape, 100, 2, max_firings=0) == simulate("asm", shape, 100, 2)
+
+    @pytest.mark.parametrize("budget, want", [
+        (1.5, "max_firings must be an integer, got 1.5"),
+        (True, "max_firings must be an integer, got True"),
+        ("10", "max_firings must be an integer, got '10'"),
+        (-1, "max_firings must be >= 0"),
+    ])
+    def test_trajectory_checks_the_budget_at_the_call(self, budget, want):
+        assert _message(lambda: trajectory("ssm", BipartiteShape(2, 2), 3, 0, 0.5, budget)) == want
+        assert _message(lambda: simulate("ssm", BipartiteShape(2, 2), 3, 0, max_firings=budget)) == want

@@ -1,6 +1,10 @@
 """Linear-time recurrence checks against exhaustive witness searches."""
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -482,3 +486,72 @@ class TestCountsBelowRejectsNonIntegers:
         # 1.5 passes the range test, so only the index can catch it
         with pytest.raises(ValueError):
             counts_below((0, 1.5, 2), 3)
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh(code):
+    """stdout of `code` run in a new interpreter that imports bipsand from src."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNumpyLoadedLazily:
+    """numpy is imported by the first check with m+n >= _NP_MIN, not before."""
+
+    def test_import_leaves_numpy_unloaded(self):
+        assert _fresh("import sys, bipsand, bipsand.cli; print('numpy' in sys.modules)") == "False\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "3,1,3,2,3;2,0,4,3", "--model", "ssm"],
+        ["level", "3,1,3,2,3;2,0,4,3"],
+        ["stabilize", "2,1;0,2", "--model", "ssm", "--seed", "5"],
+        ["simulate", "--model", "ssm", "--m", "2", "--n", "2", "--steps", "20"],
+        ["biject", "--to", "motzkin", "0,2,2;2,2,3"],
+        ["dag", "--model", "asm", "--m", "2", "--n", "2"],
+        ["enumerate", "--m", "2", "--n", "2", "--recurrent", "--model", "asm"],
+        ["census", "--m", "3", "--n", "3", "--model", "ssm"],
+    ])
+    def test_small_commands_leave_numpy_unloaded(self, argv):
+        code = (
+            "import contextlib, io, sys\n"
+            "from bipsand.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main({argv!r})\n"
+            "print(rc, 'numpy' in sys.modules)"
+        )
+        assert _fresh(code) == "0 False\n"
+
+    def test_first_large_check_loads_numpy(self):
+        code = (
+            "import sys\n"
+            "from bipsand import BipartiteShape, Configuration, is_recurrent\n"
+            "from bipsand.recurrence import _NP_MIN\n"
+            "m = _NP_MIN // 2; n = _NP_MIN - m\n"
+            "c = Configuration(BipartiteShape(m, n), (n - 1,) * m, (m,) * n)\n"
+            "before = 'numpy' in sys.modules\n"
+            "print(before, is_recurrent(c, 'asm'), 'numpy' in sys.modules)"
+        )
+        assert _fresh(code) == "False True True\n"
+
+    def test_a_stand_in_set_before_the_first_large_check_is_kept(self):
+        # a profiler may put a proxy in place of numpy; the check must use it
+        code = (
+            "import numpy\n"
+            "import bipsand.recurrence as rec\n"
+            "from bipsand import BipartiteShape, Configuration, is_recurrent\n"
+            "class StandIn:\n"
+            "    calls = 0\n"
+            "    def __getattr__(self, name):\n"
+            "        StandIn.calls += 1\n"
+            "        return getattr(numpy, name)\n"
+            "stand_in = rec.np = StandIn()\n"
+            "m = rec._NP_MIN // 2; n = rec._NP_MIN - m\n"
+            "c = Configuration(BipartiteShape(m, n), (0,) * m, (m,) * n)\n"
+            "print(is_recurrent(c, 'ssm'), rec.np is stand_in, StandIn.calls > 0)"
+        )
+        assert _fresh(code) == "True True True\n"
