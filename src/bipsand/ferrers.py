@@ -21,13 +21,13 @@ from itertools import combinations_with_replacement
 from typing import Iterator, Optional
 
 from .errors import GuardError
-from .model import BipartiteShape, Configuration, _check_model
+from .model import BipartiteShape, Configuration, _check_int, _check_model
 from .recurrence import _dominates, counts_below, is_recurrent
 
 
 @dataclass(frozen=True)
 class FerrersDiagram:
-    """Row lengths bottom to top; weakly increasing, non-negative."""
+    """Row lengths bottom to top: integers, weakly increasing, non-negative."""
 
     rows: tuple
 
@@ -35,6 +35,8 @@ class FerrersDiagram:
         object.__setattr__(self, "rows", tuple(self.rows))
         if not self.rows:
             raise ValueError("a diagram needs at least one row")
+        for x in self.rows:
+            _check_int("row length", x)
         if min(self.rows) < 0:
             raise ValueError("row lengths must be non-negative")
         for r in range(len(self.rows) - 1):

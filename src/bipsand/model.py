@@ -31,6 +31,15 @@ from .errors import TopplingStallError
 
 MODELS = ("asm", "ssm")
 POLICIES = ("fifo", "lifo", "min-index")
+_MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
+
+
+def _check_int(name: str, value, low: int | None = None) -> None:
+    """Raise ValueError unless value is an int (bool excluded) and >= low."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 def _check_model(model: str) -> None:
@@ -70,8 +79,7 @@ class Vertex:
     def __post_init__(self):
         if self.side not in ("top", "bottom", "sink"):
             raise ValueError(f"unknown side {self.side!r}")
-        if type(self.index) is not int:  # bool excluded
-            raise ValueError(f"vertex index must be an integer, got {self.index!r}")
+        _check_int("vertex index", self.index)
         if self.side != "sink" and self.index < 1:
             raise ValueError("vertex index is 1-based")
 
@@ -179,8 +187,7 @@ class ToppleOracle:
     p: float = 0.5
 
     def __post_init__(self):
-        if type(self.seed) is not int:  # bool excluded
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        _check_int("seed", self.seed)
         if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
             raise ValueError(f"p must be an int or a float, got {self.p!r}")
         if not (0.0 < self.p <= 1.0):
@@ -286,7 +293,9 @@ def topple_stochastic(
     For each neighbour a bit decides whether one grain moves there; the
     vertex keeps the grains whose bits are 0.  Bits are queried sink first
     (for bottom vertices), then neighbours in ascending index order.
+    firing_index, an int >= 0, keys the bits (ValueError otherwise).
     """
+    _check_int("firing_index", firing_index, 0)
     s = _topple_slot(c, v)
     return _topple(c, s, _firing_bits(oracle, c.shape.m, c.shape.n), firing_index)
 
@@ -371,16 +380,18 @@ def stabilize_stochastic(
     c: Configuration,
     oracle: ToppleOracle,
     policy: str = "fifo",
-    max_firings: int = 10**9,
+    max_firings: int = _MAX_FIRINGS,
 ) -> tuple[Configuration, tuple[tuple, tuple]]:
     """Stochastically topple until stable; returns (configuration, firing counts).
 
     A firing may move zero grains (all bits 0); the vertex is then re-queued
     with the next firing index, so each firing consumes fresh bits.  To
     avoid hanging on adversarial oracles, more than max_firings total
-    firings raises TopplingStallError.  Termination is almost sure for any
-    p > 0.
+    firings raises TopplingStallError; max_firings must be an int >= 0
+    (ValueError otherwise, before any bit is drawn).  Termination is almost
+    sure for any p > 0.
     """
+    _check_int("max_firings", max_firings, 0)
     draw = _firing_bits(oracle, c.shape.m, c.shape.n)
     return _stabilize(c, policy, draw, max_firings, getattr(oracle, "p", "?"))
 
@@ -406,14 +417,15 @@ def markov_step(
     v: Vertex,
     oracle: ToppleOracle | None = None,
     policy: str = "fifo",
-    max_firings: int = 10**9,
+    max_firings: int = _MAX_FIRINGS,
 ) -> Configuration:
     """One step of the grain-addition chain: add a grain at v, then stabilize.
 
     max_firings is the ssm firing budget (see stabilize_stochastic); asm
-    needs none.
+    needs none, but it is checked for both models.
     """
     _check_model(model)
+    _check_int("max_firings", max_firings, 0)
     if not c.is_stable:
         raise ValueError("markov_step starts from a stable configuration")
     bumped = add_grain(c, v)
@@ -430,7 +442,7 @@ def trajectory(
     steps: int,
     seed: int,
     p: float = 0.5,
-    max_firings: int = 10**9,
+    max_firings: int = _MAX_FIRINGS,
 ) -> Iterator[Configuration]:
     """Yield the chain's stable state at times 0..steps, starting from all zeros.
 
@@ -442,16 +454,9 @@ def trajectory(
     are checked at the call, before the first state is drawn.
     """
     _check_model(model)
-    if type(steps) is not int:  # bool excluded
-        raise ValueError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if type(max_firings) is not int:
-        raise ValueError(f"max_firings must be an integer, got {max_firings!r}")
-    if max_firings < 0:
-        raise ValueError("max_firings must be >= 0")
+    _check_int("steps", steps, 0)
+    _check_int("seed", seed)
+    _check_int("max_firings", max_firings, 0)
     return _chain(model, shape, steps, seed, p, max_firings)
 
 
@@ -478,7 +483,7 @@ def simulate(
     steps: int,
     seed: int,
     p: float = 0.5,
-    max_firings: int = 10**9,
+    max_firings: int = _MAX_FIRINGS,
 ) -> Counter:
     """Run the grain-addition chain; returns visit counts over stable states.
 

@@ -20,6 +20,7 @@ from bipsand import (
     add_grain,
     build_dag,
     config_to_pair,
+    empirical_support,
     is_recurrent,
     is_stable,
     markov_step,
@@ -511,3 +512,46 @@ class TestChainFiringBudget:
     def test_trajectory_checks_the_budget_at_the_call(self, budget, want):
         assert _message(lambda: trajectory("ssm", BipartiteShape(2, 2), 3, 0, 0.5, budget)) == want
         assert _message(lambda: simulate("ssm", BipartiteShape(2, 2), 3, 0, max_firings=budget)) == want
+
+
+def _entry_points():
+    """(label, call(value), argument name, lower bound) for every integer
+    argument checked by the one rule in model._check_int."""
+    c, shape, top = cfg("5;0"), BipartiteShape(2, 2), Vertex("top", 1)
+    return [
+        ("Vertex", lambda x: Vertex("top", x), "vertex index", None),
+        ("ToppleOracle", lambda x: ToppleOracle(x), "seed", None),
+        ("trajectory.steps", lambda x: trajectory("asm", shape, x, 0), "steps", 0),
+        ("trajectory.seed", lambda x: trajectory("ssm", shape, 3, x), "seed", None),
+        ("trajectory.max_firings",
+         lambda x: trajectory("ssm", shape, 3, 0, max_firings=x), "max_firings", 0),
+        ("markov_step.asm",
+         lambda x: markov_step("asm", cfg("0;0"), top, max_firings=x), "max_firings", 0),
+        ("markov_step.ssm",
+         lambda x: markov_step("ssm", cfg("0;0"), top, ToppleOracle(1), max_firings=x),
+         "max_firings", 0),
+        ("stabilize_stochastic",
+         lambda x: stabilize_stochastic(c, ToppleOracle(1), max_firings=x), "max_firings", 0),
+        ("topple_stochastic",
+         lambda x: topple_stochastic(c, top, ToppleOracle(1), x), "firing_index", 0),
+        ("empirical_support",
+         lambda x: empirical_support("ssm", shape, 3, 0, max_firings=x), "max_firings", 0),
+        ("FerrersDiagram", lambda x: FerrersDiagram((0, x)), "row length", None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, value, want",
+    [
+        pytest.param(call, value, f"{name} must be an integer, got {value!r}",
+                     id=f"{label}-{value!r}")
+        for label, call, name, low in _entry_points()
+        for value in (1.5, True, "10")
+    ] + [
+        pytest.param(call, -1, f"{name} must be >= {low}", id=f"{label}--1")
+        for label, call, name, low in _entry_points()
+        if low is not None
+    ],
+)
+def test_one_integer_rule_at_every_entry_point(call, value, want):
+    assert _message(lambda: call(value)) == want
