@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import GuardError
-from .model import _MAX_FIRINGS, BipartiteShape, Configuration, _check_model, trajectory
+from .model import BipartiteShape, Configuration, _check_model, trajectory
 from .recurrence import is_recurrent
 
 CSV_HEADER = "m,n,model,sorted,count,level_poly"
@@ -211,15 +211,14 @@ def empirical_support(
     seed: int,
     p: float = 0.5,
     burn_in: int = 0,
-    max_firings: int = _MAX_FIRINGS,
 ) -> frozenset:
     """States the simulated chain visits at times burn_in < t <= steps.
 
-    max_firings bounds each ssm step's stabilization, as in trajectory,
-    which checks it at the call and raises TopplingStallError past it.
+    Each ssm step runs under trajectory's default firing budget; for a
+    bounded run, build the set from trajectory(..., max_firings=N).
     """
     return frozenset(
         state
-        for t, state in enumerate(trajectory(model, shape, steps, seed, p, max_firings))
+        for t, state in enumerate(trajectory(model, shape, steps, seed, p))
         if t > burn_in
     )

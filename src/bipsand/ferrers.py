@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import index
 from typing import Iterator, Optional
 
 from .errors import GuardError
@@ -178,7 +179,9 @@ def config_to_pair(model: str, c: Configuration) -> FerrersPair:
     """Map a sorted recurrent configuration to its diagram pair (F(k), F(bottom)).
 
     The pair is compatible for ssm and strongly compatible for asm; the
-    area difference of the two diagrams equals the level of c.
+    area difference of the two diagrams equals the level of c.  Integer
+    grain counts of any type (numpy's too) become int rows; a non-integer
+    count raises ValueError.
     """
     _check_model(model)
     if not c.is_sorted:
@@ -186,7 +189,11 @@ def config_to_pair(model: str, c: Configuration) -> FerrersPair:
     if not is_recurrent(c, model):
         raise ValueError(f"configuration is not recurrent under {model}")
     k = counts_below(c.top, c.shape.n)
-    return FerrersPair(FerrersDiagram(k), FerrersDiagram(c.bottom))
+    try:
+        bottom = tuple(map(index, c.bottom))
+    except TypeError:
+        raise ValueError(f"bottom grain counts must be integers, got {c.bottom!r}") from None
+    return FerrersPair(FerrersDiagram(k), FerrersDiagram(bottom))
 
 
 def pair_to_config(model: str, pair: FerrersPair) -> Configuration:

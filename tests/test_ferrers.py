@@ -164,6 +164,22 @@ class TestPairBijection:
         pair = FerrersPair(FerrersDiagram((1, 1, 3)), FerrersDiagram((2, 2, 2)))
         assert pair_to_config("ssm", pair).top == (0, 2, 2)
 
+    @pytest.mark.parametrize("model, text", [("ssm", "0,2,2;2,2,2"), ("asm", "0,2,2;2,2,3")])
+    def test_numpy_grain_counts_give_int_rows(self, model, text):
+        import numpy as np
+
+        c = cfg(text)
+        pair = config_to_pair(model, Configuration.from_vectors(np.array(c.top), np.array(c.bottom)))
+        assert pair == config_to_pair(model, c)
+        assert {type(x) for x in pair.first.rows + pair.second.rows} == {int}
+
+    def test_non_integer_bottom_grain_counts_raise(self):
+        c = Configuration.from_vectors((2, 2), (0.5, 0.5, 1.0))
+        assert is_recurrent(c, "ssm")
+        with pytest.raises(ValueError) as exc:
+            config_to_pair("ssm", c)
+        assert str(exc.value) == "bottom grain counts must be integers, got (0.5, 0.5, 1.0)"
+
     def test_requires_sorted_recurrent(self):
         with pytest.raises(ValueError):
             config_to_pair("ssm", cfg("2,0,2;2,2,2"))

@@ -20,7 +20,6 @@ from bipsand import (
     add_grain,
     build_dag,
     config_to_pair,
-    empirical_support,
     is_recurrent,
     is_stable,
     markov_step,
@@ -515,16 +514,10 @@ class TestChainFiringBudget:
 
 
 def _entry_points():
-    """(label, call(value), argument name, lower bound) for every integer
-    argument checked by the one rule in model._check_int."""
-    c, shape, top = cfg("5;0"), BipartiteShape(2, 2), Vertex("top", 1)
+    """(label, call(value), argument name, lower bound) for each integer
+    argument that model._check_int checks and no older test covers."""
+    c, top = cfg("5;0"), Vertex("top", 1)
     return [
-        ("Vertex", lambda x: Vertex("top", x), "vertex index", None),
-        ("ToppleOracle", lambda x: ToppleOracle(x), "seed", None),
-        ("trajectory.steps", lambda x: trajectory("asm", shape, x, 0), "steps", 0),
-        ("trajectory.seed", lambda x: trajectory("ssm", shape, 3, x), "seed", None),
-        ("trajectory.max_firings",
-         lambda x: trajectory("ssm", shape, 3, 0, max_firings=x), "max_firings", 0),
         ("markov_step.asm",
          lambda x: markov_step("asm", cfg("0;0"), top, max_firings=x), "max_firings", 0),
         ("markov_step.ssm",
@@ -534,8 +527,6 @@ def _entry_points():
          lambda x: stabilize_stochastic(c, ToppleOracle(1), max_firings=x), "max_firings", 0),
         ("topple_stochastic",
          lambda x: topple_stochastic(c, top, ToppleOracle(1), x), "firing_index", 0),
-        ("empirical_support",
-         lambda x: empirical_support("ssm", shape, 3, 0, max_firings=x), "max_firings", 0),
         ("FerrersDiagram", lambda x: FerrersDiagram((0, x)), "row length", None),
     ]
 
@@ -553,5 +544,5 @@ def _entry_points():
         if low is not None
     ],
 )
-def test_one_integer_rule_at_every_entry_point(call, value, want):
+def test_integer_arguments_follow_the_one_rule(call, value, want):
     assert _message(lambda: call(value)) == want
