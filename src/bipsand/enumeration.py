@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterator
 
 from .errors import GuardError
-from .model import BipartiteShape, Configuration, _check_model, trajectory
+from .model import BipartiteShape, Configuration, _check_int, _check_model, trajectory
 from .recurrence import is_recurrent
 
 CSV_HEADER = "m,n,model,sorted,count,level_poly"
@@ -217,6 +217,7 @@ def empirical_support(
     Each ssm step runs under trajectory's default firing budget; for a
     bounded run, build the set from trajectory(..., max_firings=N).
     """
+    _check_int("burn_in", burn_in)
     return frozenset(
         state
         for t, state in enumerate(trajectory(model, shape, steps, seed, p))

@@ -13,13 +13,14 @@ function of (seed, p, vertex, firing index, neighbour).  That also makes
 the outcome independent of the order in which vertices are toppled, for
 both rules.
 
-asm is ssm with every bit equal to 1, so both rules run on one worklist
-engine, _stabilize; under asm it draws no bit at all.
+asm stabilization follows no toppling order: it solves for the firing
+totals directly (the least-action odometer).  ssm runs the worklist
+engine _stabilize, which draws each firing's bits as it fires.
 """
 from __future__ import annotations
 
 import heapq
-import sys
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -172,6 +173,21 @@ def is_stable(c: Configuration) -> bool:
     return c.is_stable
 
 
+def _bit_threshold(p) -> int:
+    """Check a bit probability p; return p * 2^64, the bound a bit's hash
+    must fall below.  Raises ValueError unless 2^-64 <= p <= 1."""
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise ValueError(f"p must be an int or a float, got {p!r}")
+    if not (0.0 < p <= 1.0):
+        raise ValueError(f"p must lie in (0, 1], got {p}")
+    # p scales exactly by 2^64 in binary floating point
+    threshold = int(p * 2.0**64)
+    if threshold == 0:
+        # every bit would be 0 and no firing would ever move a grain
+        raise ValueError(f"p must be at least 2^-64, got {p}")
+    return threshold
+
+
 @dataclass(frozen=True)
 class ToppleOracle:
     """Committed Bernoulli(p) bits keyed by (vertex, firing index, neighbour).
@@ -188,16 +204,7 @@ class ToppleOracle:
 
     def __post_init__(self):
         _check_int("seed", self.seed)
-        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
-            raise ValueError(f"p must be an int or a float, got {self.p!r}")
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        # p scales exactly by 2^64 in binary floating point
-        threshold = int(self.p * 2.0**64)
-        if threshold == 0:
-            # every bit would be 0 and no firing would ever move a grain
-            raise ValueError(f"p must be at least 2^-64, got {self.p}")
-        object.__setattr__(self, "_threshold", threshold)
+        object.__setattr__(self, "_threshold", _bit_threshold(self.p))
         # every bit key starts with these two words, so fold them once
         object.__setattr__(self, "_prefix", prf64(self.seed, DOMAIN_BIT))
 
@@ -300,25 +307,28 @@ def topple_stochastic(
     return _topple(c, s, _firing_bits(oracle, c.shape.m, c.shape.n), firing_index)
 
 
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise ValueError(f"unknown toppling policy {policy!r}")
+
+
 def _make_worklist(policy: str):
+    _check_policy(policy)
     if policy == "fifo":
         pending = deque()
         return pending, pending.append, pending.popleft
     if policy == "lifo":
         pending = []
         return pending, pending.append, pending.pop
-    if policy == "min-index":
-        pending = []
-        return pending, lambda s: heapq.heappush(pending, s), lambda: heapq.heappop(pending)
-    raise ValueError(f"unknown toppling policy {policy!r}")
+    pending = []  # min-index
+    return pending, lambda s: heapq.heappush(pending, s), lambda: heapq.heappop(pending)
 
 
 def _stabilize(c: Configuration, policy: str, draw, max_firings: int, p):
-    """The worklist engine behind both stabilizers.
+    """The worklist engine behind stochastic stabilization.
 
     draw(s, firing) gives the bits of that firing of slot s, and a firing
-    sends one grain to each neighbour whose bit is 1.  draw is None under
-    asm, where every bit is 1 and none is drawn.  p only labels a stall.
+    sends one grain to each neighbour whose bit is 1.  p only labels a stall.
     """
     m, n = c.shape.m, c.shape.n
     degb = m + 1
@@ -345,7 +355,7 @@ def _stabilize(c: Configuration, policy: str, draw, max_firings: int, p):
             nbs, deg, nb_deg = top_nb, n, degb
         else:
             nbs, deg, nb_deg = bottom_nb, degb, n
-        got = nbs if draw is None else list(compress(nbs, draw(s, firing)))
+        got = list(compress(nbs, draw(s, firing)))
         for t in got:
             grains[t] += 1
             if grains[t] >= nb_deg and not inq[t]:
@@ -369,11 +379,37 @@ def stabilize_deterministic(
 ) -> tuple[Configuration, tuple[tuple, tuple]]:
     """Topple until stable; returns (stable configuration, firing counts).
 
-    The result does not depend on the policy; the policy only fixes the
-    internal order so firing traces are reproducible.  Every firing moves
-    grains, so no firing budget is needed.
+    asm is Abelian, so the result uses no toppling order; policy is only
+    checked against POLICIES (ValueError otherwise).  A stable c is
+    returned itself, with zero firings.  The firing totals (T, B) are the
+    least fixed point of T = sum_i floor((t_i + B)/n) and
+    B = sum_j floor((b_j + T)/(m+1)).  With t_i = n*q_i + r_i and
+    B = n*a + s, the first sum is sum(q) + m*a + #{i : r_i >= n - s}, one
+    bisection in the sorted residues.  Both sums rise with their argument,
+    so alternating them from (0, 0) climbs to the least fixed point.
     """
-    return _stabilize(c, policy, None, sys.maxsize, 1.0)
+    _check_policy(policy)
+    m, n = c.shape.m, c.shape.n
+    if c.is_stable:
+        return c, ((0,) * m, (0,) * n)
+    degb = m + 1
+    top, bottom = c.top, c.bottom
+    rt = sorted([t % n for t in top])
+    rb = sorted([b % degb for b in bottom])
+    qt, qb = (sum(top) - sum(rt)) // n, (sum(bottom) - sum(rb)) // degb
+    fired_b = 0
+    while True:
+        a, s = divmod(fired_b, n)
+        fired_t = qt + m * (a + 1) - bisect_left(rt, n - s)
+        a, s = divmod(fired_t, degb)
+        b_next = qb + n * (a + 1) - bisect_left(rb, degb - s)
+        if b_next == fired_b:
+            break
+        fired_b = b_next
+    top = [t + fired_b for t in top]
+    bottom = [b + fired_t for b in bottom]
+    stable = Configuration(c.shape, tuple([t % n for t in top]), tuple([b % degb for b in bottom]))
+    return stable, (tuple([t // n for t in top]), tuple([b // degb for b in bottom]))
 
 
 def stabilize_stochastic(
@@ -456,6 +492,8 @@ def trajectory(
     _check_model(model)
     _check_int("steps", steps, 0)
     _check_int("seed", seed)
+    if model == "ssm":
+        _bit_threshold(p)
     _check_int("max_firings", max_firings, 0)
     return _chain(model, shape, steps, seed, p, max_firings)
 

@@ -328,15 +328,22 @@ def test_criterion_7_abelian_property(capsys):
     mismatches = 0
     checked = 0
 
+    # asm computes its result from firing totals under every policy, so
+    # each input is also checked against a real toppling order: the naive
+    # oracle's first-unstable-vertex order
     for m in range(1, 4):
         for n in range(1, 4):
             for tup in oracles.bounded_sum_tuples(m + n, 3 * m * n):
-                c = Configuration.from_vectors(tup[:m], tup[m:])
+                top, bottom = tup[:m], tup[m:]
+                c = Configuration.from_vectors(top, bottom)
                 checked += 1
                 ref = stabilize_deterministic(c, policy="fifo")
                 for policy in ("lifo", "min-index"):
                     if stabilize_deterministic(c, policy=policy) != ref:
                         mismatches += 1
+                stable, (ft, fb) = ref
+                if (stable.top, stable.bottom, ft, fb) != oracles.naive_stabilize_asm(top, bottom):
+                    mismatches += 1
 
     sto_checked = 0
     for seed in range(100):
@@ -360,7 +367,8 @@ def test_criterion_7_abelian_property(capsys):
     _report(
         capsys, 7, ok,
         f"3 policies agree on {checked} deterministic and {sto_checked} "
-        f"stochastic stabilizations (states and firing counts), "
+        f"stochastic stabilizations (states and firing counts), each "
+        f"deterministic one equal to the naive toppling oracle's, "
         f"{mismatches} mismatches ({elapsed:.0f}s)",
     )
 

@@ -20,6 +20,7 @@ from bipsand import (
     add_grain,
     build_dag,
     config_to_pair,
+    empirical_support,
     is_recurrent,
     is_stable,
     markov_step,
@@ -156,6 +157,40 @@ class TestDeterministicToppling:
         assert stable.total == c.total - sum(fb)
 
 
+class TestOdometer:
+    """asm stabilizes from its firing totals; the naive oracle topples one
+    vertex at a time, so each test compares against a real toppling order."""
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(1, 4)])
+    def test_every_stable_plus_pile_input(self, m, n):
+        checked = 0
+        for top in itertools.product(range(n), repeat=m):
+            for bottom in itertools.product(range(m + 1), repeat=n):
+                for v in range(m + n):
+                    # piles of 1 grain (a chain step) up to n(m+1), in turn
+                    grains = [*top, *bottom]
+                    grains[v] += 1 + checked % (n * (m + 1))
+                    t, b = tuple(grains[:m]), tuple(grains[m:])
+                    got, (ft, fb) = stabilize_deterministic(Configuration.from_vectors(t, b))
+                    assert (got.top, got.bottom, ft, fb) == oracles.naive_stabilize_asm(t, b)
+                    checked += 1
+        assert checked == n**m * (m + 1) ** n * (m + n)
+
+    @pytest.mark.parametrize("m, n, grains, firings", [
+        (2, 2, 10**9, 2_499_999_992),
+        (50, 50, 10**5, 197_000),
+    ])
+    def test_heavy_pile(self, m, n, grains, firings):
+        c = Configuration.from_vectors((grains,) + (0,) * (m - 1), (0,) * n)
+        t0 = time.perf_counter()
+        stable, (ft, fb) = stabilize_deterministic(c)
+        assert time.perf_counter() - t0 < 0.5
+        assert stable.is_stable
+        # every grain that leaves goes to the sink, one per bottom firing
+        assert grains == stable.total + sum(fb)
+        assert sum(ft) + sum(fb) == firings
+
+
 class TestStochasticToppling:
     def test_committed_trace(self):
         # scripted coin flips; codes: sink 0, top i -> 2i, bottom j -> 2j+1
@@ -290,7 +325,7 @@ class TestVertexChoiceCoverage:
 
 
 class TestOneEngine:
-    """asm is the all-ones case of the stochastic engine and draws no bit."""
+    """asm draws no bit, and the stochastic engine at p = 1 matches it."""
 
     @pytest.fixture
     def no_bits(self, monkeypatch):
@@ -471,6 +506,19 @@ class TestTrajectoryChecksAtTheCall:
     def test_bad_argument_raises_without_iterating(self, model, steps, seed, want):
         assert _message(lambda: trajectory(model, BipartiteShape(2, 2), steps, seed)) == want
 
+    @pytest.mark.parametrize("p, want", [
+        (2.0, "p must lie in (0, 1], got 2.0"),
+        (0, "p must lie in (0, 1], got 0"),
+        ("0.5", "p must be an int or a float, got '0.5'"),
+        (1e-30, "p must be at least 2^-64, got 1e-30"),
+    ], ids=["above-one", "zero", "string", "below-2^-64"])
+    def test_bad_ssm_probability_raises_with_no_step(self, p, want):
+        shape = BipartiteShape(2, 2)
+        assert _message(lambda: trajectory("ssm", shape, 0, 0, p=p)) == want
+        assert _message(lambda: ToppleOracle(0, p)) == want
+        # asm draws no bit, so it ignores p
+        assert list(trajectory("asm", shape, 0, 0, p=p)) == [Configuration.zero(shape)]
+
 
 class TestChainFiringBudget:
     """max_firings bounds each ssm step of the chain, as in stabilize_stochastic."""
@@ -528,6 +576,8 @@ def _entry_points():
         ("topple_stochastic",
          lambda x: topple_stochastic(c, top, ToppleOracle(1), x), "firing_index", 0),
         ("FerrersDiagram", lambda x: FerrersDiagram((0, x)), "row length", None),
+        ("empirical_support",
+         lambda x: empirical_support("asm", BipartiteShape(1, 1), 3, 0, burn_in=x), "burn_in", None),
     ]
 
 
