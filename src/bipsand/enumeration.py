@@ -49,7 +49,7 @@ def enumerate_stable(
         bottoms = list(product(range(m + 1), repeat=n))
     for top in tops:
         for bottom in bottoms:
-            yield Configuration(shape, top, bottom)
+            yield Configuration._trusted(shape, top, bottom)
 
 
 def enumerate_recurrent(

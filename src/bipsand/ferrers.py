@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from operator import index
 from typing import Iterator, Optional
 
 from .errors import GuardError
@@ -179,9 +178,7 @@ def config_to_pair(model: str, c: Configuration) -> FerrersPair:
     """Map a sorted recurrent configuration to its diagram pair (F(k), F(bottom)).
 
     The pair is compatible for ssm and strongly compatible for asm; the
-    area difference of the two diagrams equals the level of c.  Integer
-    grain counts of any type (numpy's too) become int rows; a non-integer
-    count raises ValueError.
+    area difference of the two diagrams equals the level of c.
     """
     _check_model(model)
     if not c.is_sorted:
@@ -189,11 +186,7 @@ def config_to_pair(model: str, c: Configuration) -> FerrersPair:
     if not is_recurrent(c, model):
         raise ValueError(f"configuration is not recurrent under {model}")
     k = counts_below(c.top, c.shape.n)
-    try:
-        bottom = tuple(map(index, c.bottom))
-    except TypeError:
-        raise ValueError(f"bottom grain counts must be integers, got {c.bottom!r}") from None
-    return FerrersPair(FerrersDiagram(k), FerrersDiagram(bottom))
+    return FerrersPair(FerrersDiagram(k), FerrersDiagram(c.bottom))
 
 
 def pair_to_config(model: str, pair: FerrersPair) -> Configuration:
@@ -210,7 +203,7 @@ def pair_to_config(model: str, pair: FerrersPair) -> Configuration:
     # Sorted top side read off the first diagram's south-east border:
     # entry i counts the rows shorter than i.
     top = counts_below(first.rows, m + 1)[:m]
-    return Configuration(BipartiteShape(m, n), top, second.rows)
+    return Configuration._trusted(BipartiteShape(m, n), top, second.rows)
 
 
 @dataclass(frozen=True)
@@ -259,7 +252,7 @@ def config_to_labelled_pair(model: str, c: Configuration) -> LabelledFerrersPair
     _check_model(model)
     order_t = _stable_order(c.top)
     order_b = _stable_order(c.bottom)
-    sc = Configuration(
+    sc = Configuration._trusted(
         c.shape,
         tuple(c.top[i] for i in order_t),
         tuple(c.bottom[j] for j in order_b),
@@ -277,7 +270,7 @@ def labelled_pair_to_config(model: str, lp: LabelledFerrersPair) -> Configuratio
     sc = pair_to_config(model, lp.pair)
     top = _unsort(sc.top, lp.column_labels, "equal-height columns must carry increasing labels")
     bottom = _unsort(sc.bottom, lp.row_labels, "equal-length rows must carry increasing labels")
-    return Configuration(sc.shape, top, bottom)
+    return Configuration._trusted(sc.shape, top, bottom)
 
 
 @dataclass(frozen=True)

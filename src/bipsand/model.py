@@ -25,6 +25,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from operator import index
 from typing import Iterator
 
 from ._prf import DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, bits_below, prf64, spread
@@ -85,21 +86,66 @@ class Vertex:
             raise ValueError("vertex index is 1-based")
 
 
+def _grain(x) -> int:
+    """x as an int, for a grain count of another integer type (numpy's);
+    ValueError for bool and for any non-integer."""
+    if type(x) is not bool:
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"grain counts must be integers, got {x!r}")
+
+
+def _nonnegative(side: tuple) -> tuple:
+    if side and min(side) < 0:
+        raise ValueError("grain counts must be non-negative")
+    return side
+
+
+def _grains(side) -> tuple:
+    """side as a tuple of ints >= 0, in one type pass and one min pass."""
+    side = tuple(side)
+    if not set(map(type, side)) <= {int}:
+        side = tuple(map(_grain, side))
+    return _nonnegative(side)
+
+
 @dataclass(frozen=True)
 class Configuration:
-    """Grain counts on the non-sink vertices; immutable and hashable."""
+    """Grain counts on the non-sink vertices; immutable and hashable.
+
+    Every grain count must be an int >= 0 (bool excluded); other integer
+    types, numpy's included, become int, and anything else raises
+    ValueError.  The recurrence check of a large configuration records
+    its two verdicts on the instance, outside equality, hash and repr.
+    """
 
     shape: BipartiteShape
     top: tuple
     bottom: tuple
 
+    # both recurrence verdicts, set by the first large check of this instance
+    _rowwise = _prefixwise = None
+
     def __post_init__(self):
-        object.__setattr__(self, "top", tuple(self.top))
-        object.__setattr__(self, "bottom", tuple(self.bottom))
-        if len(self.top) != self.shape.m or len(self.bottom) != self.shape.n:
+        top, bottom = _grains(self.top), _grains(self.bottom)
+        if len(top) != self.shape.m or len(bottom) != self.shape.n:
             raise ValueError("grain vectors do not match the shape")
-        if (self.top and min(self.top) < 0) or min(self.bottom) < 0:
-            raise ValueError("grain counts must be non-negative")
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+
+    @classmethod
+    def _trusted(cls, shape: BipartiteShape, top: tuple, bottom: tuple) -> "Configuration":
+        """Build without checks, for an output valid by construction: tuples
+        of ints >= 0 whose lengths match shape."""
+        c = object.__new__(cls)
+        # attribute by attribute, in field order, so instances keep sharing
+        # one key table as __init__'s do (dict.update would not: 2.4x the bytes)
+        object.__setattr__(c, "shape", shape)
+        object.__setattr__(c, "top", top)
+        object.__setattr__(c, "bottom", bottom)
+        return c
 
     @classmethod
     def from_vectors(cls, top, bottom) -> "Configuration":
@@ -110,7 +156,7 @@ class Configuration:
 
     @classmethod
     def zero(cls, shape: BipartiteShape) -> "Configuration":
-        return cls(shape, (0,) * shape.m, (0,) * shape.n)
+        return cls._trusted(shape, (0,) * shape.m, (0,) * shape.n)
 
     @classmethod
     def from_text(cls, text: str) -> "Configuration":
@@ -127,7 +173,9 @@ class Configuration:
             bottom = tuple(int(x) for x in bottom_s.split(","))
         except ValueError:
             raise ValueError(f"malformed configuration text {text!r}") from None
-        return cls.from_vectors(top, bottom)
+        # int() made every entry an int; only the sign is left to check
+        shape = BipartiteShape(len(top), len(bottom))
+        return cls._trusted(shape, _nonnegative(top), _nonnegative(bottom))
 
     def to_text(self) -> str:
         return "{};{}".format(
@@ -143,9 +191,6 @@ class Configuration:
             bottom = tuple(obj["bottom"])
         except (TypeError, KeyError):
             raise ValueError("malformed configuration object") from None
-        for x in top + bottom:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"grain counts must be integers, got {x!r}")
         return cls.from_vectors(top, bottom)
 
     def to_json_dict(self) -> dict:
@@ -284,7 +329,7 @@ def _topple(c: Configuration, s: int, draw, firing: int) -> Configuration:
     for t in got:
         grains[t] += 1
     grains[s] -= len(got)
-    return Configuration(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
+    return Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
 
 
 def topple_deterministic(c: Configuration, v: Vertex) -> Configuration:
@@ -370,7 +415,7 @@ def _stabilize(c: Configuration, policy: str, draw, max_firings: int, p):
             f"no stable state after {max_firings} firings on "
             f"K0_{{{m},{n}}} (p={p}); {len(pending)} vertices still unstable"
         )
-    stable = Configuration(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
+    stable = Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
     return stable, (tuple(fires[:m]), tuple(fires[m:]))
 
 
@@ -408,7 +453,9 @@ def stabilize_deterministic(
         fired_b = b_next
     top = [t + fired_b for t in top]
     bottom = [b + fired_t for b in bottom]
-    stable = Configuration(c.shape, tuple([t % n for t in top]), tuple([b % degb for b in bottom]))
+    stable = Configuration._trusted(
+        c.shape, tuple([t % n for t in top]), tuple([b % degb for b in bottom])
+    )
     return stable, (tuple([t // n for t in top]), tuple([b // degb for b in bottom]))
 
 
@@ -441,10 +488,10 @@ def add_grain(c: Configuration, v: Vertex) -> Configuration:
     if s < m:
         top = list(c.top)
         top[s] += 1
-        return Configuration(c.shape, tuple(top), c.bottom)
+        return Configuration._trusted(c.shape, tuple(top), c.bottom)
     bottom = list(c.bottom)
     bottom[s - m] += 1
-    return Configuration(c.shape, c.top, tuple(bottom))
+    return Configuration._trusted(c.shape, c.top, tuple(bottom))
 
 
 def markov_step(

@@ -139,7 +139,7 @@ def polyomino_to_config(p: ParallelogramPolyomino) -> Configuration:
     n = p.box_height
     heights = _positions(p.upper, "E")
     positions = _positions(p.lower, "N")
-    return Configuration(
+    return Configuration._trusted(
         BipartiteShape(m, n),
         tuple(h - 1 for h in heights[:m]),
         tuple(x - 1 for x in positions),

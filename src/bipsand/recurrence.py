@@ -6,6 +6,8 @@ model, rowwise for the deterministic one.  The k-vector entry k_j counts
 the top vertices holding fewer than j grains; it is computed by a counting
 pass.  From _NP_MIN entries on, the bottom side is sorted by counting too,
 so both checks stay linear; below that size a comparison sort is faster.
+The first large check of a configuration answers both models and records
+the two verdicts on it, so the second is a lookup.
 Ferrers compatibility (ferrers.is_compatible, is_strongly_compatible) is
 the same dominance test, run on the rows of a diagram pair.  The first
 forbidden vertex-subset pair, which certifies non-recurrence, is found by
@@ -64,23 +66,41 @@ def _dominates(lower: Sequence[int], upper: Sequence[int], rowwise: bool) -> boo
     return all(map(ge, accumulate(upper), accumulate(lower)))
 
 
-def _check(c: Configuration, rowwise: bool) -> bool:
+def _check(c: Configuration, rowwise: bool, op: str) -> bool:
     """Dominance of the sorted bottom side over the k-vector: rowwise for
-    asm, prefixwise for ssm.  numpy from _NP_MIN entries on, pure Python below."""
-    global np
+    asm, prefixwise for ssm; ValueError unless c is stable.  numpy from
+    _NP_MIN entries on, pure Python below."""
     m, n = c.shape.m, c.shape.n
-    if m + n >= _NP_MIN:
-        if np is None:
-            import numpy as np
-        top = np.asarray(c.top, dtype=np.int64)
-        bottom = np.asarray(c.bottom, dtype=np.int64)
-        k = np.cumsum(np.bincount(top, minlength=n))
-        hist_b = np.bincount(bottom, minlength=m + 1)
-        sorted_b = np.repeat(np.arange(m + 1, dtype=np.int64), hist_b)
-        if rowwise:
-            return bool(np.all(sorted_b >= k))
-        return bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k)))
-    return _dominates(counts_below(c.top, n), sorted(c.bottom), rowwise)
+    if m + n < _NP_MIN:
+        _require_stable(c, op)
+        return _dominates(counts_below(c.top, n), sorted(c.bottom), rowwise)
+    if c._rowwise is None:
+        _np_verdicts(c, op)
+    return c._rowwise if rowwise else c._prefixwise
+
+
+def _np_verdicts(c: Configuration, op: str) -> None:
+    """Check that c is stable and record both of its verdicts on it, from
+    one int64 conversion of each side.  The arrays are not kept: at 10^7
+    entries they would hold about 160 MB."""
+    global np
+    if np is None:
+        import numpy as np
+    m, n = c.shape.m, c.shape.n
+    try:
+        top = np.fromiter(c.top, np.int64, m)
+        bottom = np.fromiter(c.bottom, np.int64, n)
+    except OverflowError:  # a count past int64 is far from stable
+        stable = False
+    else:
+        stable = (not m or top.max() < n) and bottom.max() <= m
+    if not stable:
+        raise ValueError(f"{op} is defined on stable configurations only")
+    k = np.cumsum(np.bincount(top, minlength=n))
+    hist_b = np.bincount(bottom, minlength=m + 1)
+    sorted_b = np.repeat(np.arange(m + 1, dtype=np.int64), hist_b)
+    object.__setattr__(c, "_rowwise", bool(np.all(sorted_b >= k)))
+    object.__setattr__(c, "_prefixwise", bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k))))
 
 
 def is_stochastically_recurrent(c: Configuration) -> bool:
@@ -89,8 +109,7 @@ def is_stochastically_recurrent(c: Configuration) -> bool:
     True iff every prefix sum of the sorted bottom side is at least the
     matching prefix sum of the k-vector.  O(m+n).
     """
-    _require_stable(c, "is_stochastically_recurrent")
-    return _check(c, rowwise=False)
+    return _check(c, False, "is_stochastically_recurrent")
 
 
 def is_deterministically_recurrent(c: Configuration) -> bool:
@@ -99,8 +118,7 @@ def is_deterministically_recurrent(c: Configuration) -> bool:
     True iff the j-th smallest bottom entry is at least k_j for every j.
     O(m+n); implies the stochastic check.
     """
-    _require_stable(c, "is_deterministically_recurrent")
-    return _check(c, rowwise=True)
+    return _check(c, True, "is_deterministically_recurrent")
 
 
 def is_recurrent(c: Configuration, model: str) -> bool:
@@ -214,4 +232,4 @@ def sort_config(c: Configuration) -> Configuration:
     A comparison sort, so an unstable entry costs nothing beyond its
     place in the order.
     """
-    return Configuration(c.shape, tuple(sorted(c.top)), tuple(sorted(c.bottom)))
+    return Configuration._trusted(c.shape, tuple(sorted(c.top)), tuple(sorted(c.bottom)))

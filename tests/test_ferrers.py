@@ -174,11 +174,10 @@ class TestPairBijection:
         assert {type(x) for x in pair.first.rows + pair.second.rows} == {int}
 
     def test_non_integer_bottom_grain_counts_raise(self):
-        c = Configuration.from_vectors((2, 2), (0.5, 0.5, 1.0))
-        assert is_recurrent(c, "ssm")
+        # the constructor rejects them, so no check or bijection ever sees one
         with pytest.raises(ValueError) as exc:
-            config_to_pair("ssm", c)
-        assert str(exc.value) == "bottom grain counts must be integers, got (0.5, 0.5, 1.0)"
+            Configuration.from_vectors((2, 2), (0.5, 0.5, 1.0))
+        assert str(exc.value) == "grain counts must be integers, got 0.5"
 
     def test_requires_sorted_recurrent(self):
         with pytest.raises(ValueError):

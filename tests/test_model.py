@@ -1,9 +1,11 @@
 """Core state, toppling, stabilization, and the grain-addition chain."""
 import itertools
 import random
+import sys
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +21,19 @@ from bipsand import (
     Vertex,
     add_grain,
     build_dag,
+    config_to_labelled_pair,
     config_to_pair,
+    config_to_polyomino,
     empirical_support,
+    enumerate_stable,
     is_recurrent,
     is_stable,
+    labelled_pair_to_config,
     markov_step,
     pair_to_config,
+    polyomino_to_config,
     simulate,
+    sort_config,
     stabilize_deterministic,
     stabilize_stochastic,
     topple_deterministic,
@@ -102,6 +110,123 @@ class TestConfiguration:
     def test_zero(self):
         z = Configuration.zero(BipartiteShape(2, 3))
         assert z.total == 0 and z.is_stable
+
+
+NON_INTS = st.one_of(
+    st.floats(allow_nan=True), st.booleans(), st.text(max_size=3), st.none(),
+    st.fractions(), st.floats(allow_nan=True).map(np.float64),
+)
+
+
+def _rejected(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+class TestGrainCountsAreIntegers:
+    """Every grain count is an int >= 0 (bool excluded), checked once by the
+    constructor; numpy integers become int and anything else is refused."""
+
+    def test_half_integer_bottom_is_refused(self):
+        # it used to reach is_recurrent, which answered True under ssm
+        assert _rejected(lambda: Configuration.from_vectors((2, 2), (0.5, 0.5, 1.0))) == (
+            "grain counts must be integers, got 0.5")
+
+    def test_float_top_is_refused(self):
+        # it used to give float firing counts from stabilize_deterministic
+        assert _rejected(lambda: Configuration.from_vectors((2.5,), (0,))) == (
+            "grain counts must be integers, got 2.5")
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_message_names_the_entry(self, bad):
+        assert _rejected(lambda: Configuration.from_vectors((1, bad), (0,))) == (
+            f"grain counts must be integers, got {bad!r}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 4), n=st.integers(1, 4), bad=NON_INTS)
+    def test_non_int_entry_anywhere(self, data, m, n, bad):
+        top = data.draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+        bottom = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        side = top if m and data.draw(st.booleans()) else bottom
+        side[data.draw(st.integers(0, len(side) - 1))] = bad
+        shape = BipartiteShape(m, n)
+        for call in (lambda: Configuration(shape, top, bottom),
+                     lambda: Configuration.from_vectors(top, bottom),
+                     lambda: Configuration.from_json_dict({"top": top, "bottom": bottom})):
+            assert _rejected(call).startswith("grain counts must be integers, got ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 4), n=st.integers(1, 4))
+    def test_numpy_integers_become_int(self, data, m, n):
+        top = data.draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+        bottom = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        kinds = st.sampled_from((np.int8, np.int64, np.uint16, np.uint64))
+        mixed_top = [data.draw(kinds)(x) for x in top]
+        mixed_bottom = [data.draw(kinds)(x) for x in bottom]
+        c = Configuration.from_vectors(mixed_top, mixed_bottom)
+        assert c == Configuration.from_vectors(top, bottom)
+        assert {type(x) for x in c.top + c.bottom} <= {int}
+
+    def test_numpy_bool_and_negative_numpy_integer(self):
+        assert _rejected(lambda: Configuration.from_vectors((np.bool_(True),), (0,))).startswith(
+            "grain counts must be integers")
+        assert _rejected(lambda: Configuration.from_vectors((np.int64(-1),), (0,))) == (
+            "grain counts must be non-negative")
+
+
+def _revalidated(c):
+    """The validating constructor must accept c's own vectors and give c,
+    in an instance of the same size (a chain keeps many of them)."""
+    assert {type(x) for x in c.top + c.bottom} <= {int}
+    again = Configuration(c.shape, c.top, c.bottom)
+    assert again == c
+    assert sys.getsizeof(vars(again)) == sys.getsizeof(vars(c))
+    return c
+
+
+class TestTrustedOutputs:
+    """Outputs built without validation are what the validating constructor
+    gives on the same vectors, on every shape with m, n <= 3."""
+
+    SHAPES = [(m, n) for m in range(4) for n in range(1, 4)]
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_stabilize_add_grain_and_sort(self, m, n):
+        shape = BipartiteShape(m, n)
+        _revalidated(Configuration.zero(shape))
+        vertices = [Vertex("top", i) for i in range(1, m + 1)]
+        vertices += [Vertex("bottom", j) for j in range(1, n + 1)]
+        oracle = ToppleOracle(7)
+        for top, bottom in oracles.all_stable(m, n):
+            c = Configuration.from_vectors(top, bottom)
+            _revalidated(sort_config(c))
+            for v in vertices:
+                bumped = _revalidated(add_grain(c, v))
+                if not is_stable(bumped):  # then v itself holds too many grains
+                    _revalidated(topple_deterministic(bumped, v))
+                _revalidated(stabilize_deterministic(bumped)[0])
+                _revalidated(stabilize_stochastic(bumped, oracle)[0])
+        heavy = Configuration.from_vectors((5 * n,) * m, (7 * (m + 1),) * n)
+        for model_output in (stabilize_deterministic(heavy), stabilize_stochastic(heavy, oracle)):
+            _revalidated(model_output[0])
+            assert {type(x) for side in model_output[1] for x in side} <= {int}
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_inverses_and_streams(self, m, n):
+        shape = BipartiteShape(m, n)
+        for c in enumerate_stable(shape):
+            _revalidated(c)
+            for model in ("asm", "ssm"):
+                if not is_recurrent(c, model):
+                    continue
+                assert _revalidated(labelled_pair_to_config(
+                    model, config_to_labelled_pair(model, c))) == c
+                s = sort_config(c)
+                assert _revalidated(pair_to_config(model, config_to_pair(model, s))) == s
+                if model == "asm":
+                    assert _revalidated(polyomino_to_config(config_to_polyomino(s))) == s
+        assert _revalidated(Configuration.from_text(";1" if m == 0 else "0;1")).total == 1
 
 
 class TestDeterministicToppling:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -394,6 +395,60 @@ class TestOneDominanceKernel:
         c = Configuration.from_vectors((), (0,) * n)
         assert is_stochastically_recurrent(c)
         assert is_deterministically_recurrent(c)
+
+
+def _large_inputs():
+    """Three sorted-bottom inputs with m+n >= _NP_MIN: recurrent under asm,
+    recurrent under ssm only, and recurrent under neither."""
+    rng = random.Random(14)
+    m, n = _NP_MIN // 2, _NP_MIN - _NP_MIN // 2 + 8
+    while True:
+        top = [rng.randrange(n) for _ in range(m)]
+        ks = list(counts_below(top, n))
+        # move a grain down one row where k jumps by two: prefixes still hold
+        jumps = [j for j in range(n - 1) if ks[j + 1] - ks[j] >= 2]
+        if jumps:
+            break
+    ssm_only = list(ks)
+    ssm_only[jumps[0]] += 1
+    ssm_only[jumps[0] + 1] -= 1
+    neither = ks[:-1] + [m - 1]
+    return [(top, ks, (True, True)), (top, ssm_only, (False, True)), (top, neither, (False, False))]
+
+
+class TestVerdictMemo:
+    """From _NP_MIN on, the first check of an instance records both verdicts."""
+
+    @pytest.mark.parametrize("first", ["asm", "ssm"])
+    def test_both_verdicts_match_the_oracles_in_either_order(self, first):
+        second = "ssm" if first == "asm" else "asm"
+        for top, bottom, want in _large_inputs():
+            expected = {"asm": not oracles.asm_witness_exists_fast(top, bottom),
+                        "ssm": not oracles.ssm_witness_exists_fast(top, bottom)}
+            assert (expected["asm"], expected["ssm"]) == want
+            c = Configuration.from_vectors(top, bottom)
+            assert is_recurrent(c, first) == expected[first]
+            assert is_recurrent(c, second) == expected[second]
+            assert is_recurrent(c, first) == expected[first]
+
+    def test_checked_and_unchecked_are_one_key(self):
+        top, bottom, _ = _large_inputs()[0]
+        checked = Configuration.from_vectors(top, bottom)
+        unchecked = Configuration.from_vectors(top, bottom)
+        assert is_recurrent(checked, "ssm")
+        assert checked == unchecked and unchecked == checked
+        assert hash(checked) == hash(unchecked)
+        assert repr(checked) == repr(unchecked)
+        assert Counter([checked, unchecked]) == Counter({unchecked: 2})
+
+    def test_unstable_input_raises_on_every_call(self):
+        top, bottom, _ = _large_inputs()[0]
+        for unstable in (Configuration.from_vectors(top, bottom[:-1] + [len(top) + 1]),
+                         Configuration.from_vectors([10**30] + top[1:], bottom)):
+            for model in ("asm", "ssm", "asm", "ssm"):
+                with pytest.raises(ValueError) as exc:
+                    is_recurrent(unstable, model)
+                assert "defined on stable configurations only" in str(exc.value)
 
 
 class TestGreedyWitnessScan:
