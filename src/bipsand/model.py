@@ -14,14 +14,13 @@ the outcome independent of the order in which vertices are toppled, for
 both rules.
 
 asm stabilization follows no toppling order: it solves for the firing
-totals directly (the least-action odometer).  ssm runs the worklist
-engine _stabilize, which draws each firing's bits as it fires.
+totals directly (the least-action odometer).  ssm stabilization fires the
+vertices of one stack, drawing each firing's bits as it fires.
 """
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -103,9 +102,17 @@ def _nonnegative(side: tuple) -> tuple:
     return side
 
 
+def _tuple(side) -> tuple:
+    """side as a tuple; ValueError if it is not iterable."""
+    try:
+        return tuple(side)
+    except TypeError:
+        raise ValueError(f"grain counts must be an iterable of integers, got {side!r}") from None
+
+
 def _grains(side) -> tuple:
     """side as a tuple of ints >= 0, in one type pass and one min pass."""
-    side = tuple(side)
+    side = _tuple(side)
     if not set(map(type, side)) <= {int}:
         side = tuple(map(_grain, side))
     return _nonnegative(side)
@@ -150,8 +157,7 @@ class Configuration:
     @classmethod
     def from_vectors(cls, top, bottom) -> "Configuration":
         """Build a configuration, inferring the shape from the vector lengths."""
-        top = tuple(top)
-        bottom = tuple(bottom)
+        top, bottom = _tuple(top), _tuple(bottom)
         return cls(BipartiteShape(len(top), len(bottom)), top, bottom)
 
     @classmethod
@@ -357,68 +363,6 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"unknown toppling policy {policy!r}")
 
 
-def _make_worklist(policy: str):
-    _check_policy(policy)
-    if policy == "fifo":
-        pending = deque()
-        return pending, pending.append, pending.popleft
-    if policy == "lifo":
-        pending = []
-        return pending, pending.append, pending.pop
-    pending = []  # min-index
-    return pending, lambda s: heapq.heappush(pending, s), lambda: heapq.heappop(pending)
-
-
-def _stabilize(c: Configuration, policy: str, draw, max_firings: int, p):
-    """The worklist engine behind stochastic stabilization.
-
-    draw(s, firing) gives the bits of that firing of slot s, and a firing
-    sends one grain to each neighbour whose bit is 1.  p only labels a stall.
-    """
-    m, n = c.shape.m, c.shape.n
-    degb = m + 1
-    top_nb, bottom_nb = _neighbours(m, n)
-    grains = [*c.top, *c.bottom, 0]
-    fires = [0] * (m + n)
-    pending, push, pop = _make_worklist(policy)
-    inq = bytearray(m + n) + b"\x01"  # the sink is never queued
-    for s in range(m + n):
-        if grains[s] >= (n if s < m else degb):
-            push(s)
-            inq[s] = 1
-    if not pending:
-        return c, ((0,) * m, (0,) * n)
-    for _ in range(max_firings):
-        if not pending:
-            break
-        s = pop()
-        inq[s] = 0
-        firing = fires[s]
-        fires[s] = firing + 1
-        # every neighbour of s sits on the other side, so shares one degree
-        if s < m:
-            nbs, deg, nb_deg = top_nb, n, degb
-        else:
-            nbs, deg, nb_deg = bottom_nb, degb, n
-        got = list(compress(nbs, draw(s, firing)))
-        for t in got:
-            grains[t] += 1
-            if grains[t] >= nb_deg and not inq[t]:
-                push(t)
-                inq[t] = 1
-        grains[s] -= len(got)
-        if grains[s] >= deg:
-            push(s)
-            inq[s] = 1
-    if pending:
-        raise TopplingStallError(
-            f"no stable state after {max_firings} firings on "
-            f"K0_{{{m},{n}}} (p={p}); {len(pending)} vertices still unstable"
-        )
-    stable = Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
-    return stable, (tuple(fires[:m]), tuple(fires[m:]))
-
-
 def stabilize_deterministic(
     c: Configuration, policy: str = "fifo"
 ) -> tuple[Configuration, tuple[tuple, tuple]]:
@@ -467,16 +411,56 @@ def stabilize_stochastic(
 ) -> tuple[Configuration, tuple[tuple, tuple]]:
     """Stochastically topple until stable; returns (configuration, firing counts).
 
-    A firing may move zero grains (all bits 0); the vertex is then re-queued
-    with the next firing index, so each firing consumes fresh bits.  To
-    avoid hanging on adversarial oracles, more than max_firings total
-    firings raises TopplingStallError; max_firings must be an int >= 0
-    (ValueError otherwise, before any bit is drawn).  Termination is almost
-    sure for any p > 0.
+    A firing may move zero grains (all bits 0); it still takes the vertex's
+    next firing index, so each firing consumes fresh bits.  The bits are
+    committed, so every toppling order gives the same result: one stack
+    holds the unstable vertices, and policy is only checked against
+    POLICIES (ValueError otherwise).  To avoid hanging on adversarial
+    oracles, more than max_firings total firings raises TopplingStallError;
+    max_firings must be an int >= 0 (ValueError otherwise, before any bit
+    is drawn).  Termination is almost sure for any p > 0.
     """
     _check_int("max_firings", max_firings, 0)
-    draw = _firing_bits(oracle, c.shape.m, c.shape.n)
-    return _stabilize(c, policy, draw, max_firings, getattr(oracle, "p", "?"))
+    _check_policy(policy)
+    m, n = c.shape.m, c.shape.n
+    draw = _firing_bits(oracle, m, n)
+    degb = m + 1
+    # the sink starts above n, so no grain takes it to exactly n: never pushed
+    grains = [*c.top, *c.bottom, n + 1]
+    # a vertex is pushed when it turns unstable, so it is never on the stack twice
+    stack = [s for s in range(m + n) if grains[s] >= (n if s < m else degb)]
+    if not stack:
+        return c, ((0,) * m, (0,) * n)
+    top_nb, bottom_nb = _neighbours(m, n)
+    fires = [0] * (m + n)
+    left = max_firings
+    while stack:
+        s = stack.pop()
+        # every neighbour of s sits on the other side, so shares one degree
+        if s < m:
+            nbs, deg, nb_deg = top_nb, n, degb
+        else:
+            nbs, deg, nb_deg = bottom_nb, degb, n
+        g, firing = grains[s], fires[s]
+        while g >= deg and left:
+            left -= 1
+            got = list(compress(nbs, draw(s, firing)))
+            firing += 1
+            for t in got:
+                grains[t] += 1
+                if grains[t] == nb_deg:
+                    stack.append(t)
+            g -= len(got)
+        grains[s], fires[s] = g, firing
+        if g >= deg:
+            unstable = sum(x >= n for x in grains[:m]) + sum(x >= degb for x in grains[m:-1])
+            raise TopplingStallError(
+                f"no stable state after {max_firings} firings on "
+                f"K0_{{{m},{n}}} (p={getattr(oracle, 'p', '?')}); "
+                f"{unstable} vertices still unstable"
+            )
+    stable = Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
+    return stable, (tuple(fires[:m]), tuple(fires[m:]))
 
 
 def add_grain(c: Configuration, v: Vertex) -> Configuration:

@@ -168,6 +168,13 @@ class TestGrainCountsAreIntegers:
         assert c == Configuration.from_vectors(top, bottom)
         assert {type(x) for x in c.top + c.bottom} <= {int}
 
+    def test_side_that_is_not_iterable(self):
+        # tuple(side) used to raise TypeError ("'int' object is not iterable")
+        assert _rejected(lambda: Configuration(BipartiteShape(1, 1), 5, (0,))) == (
+            "grain counts must be an iterable of integers, got 5")
+        assert _rejected(lambda: Configuration.from_vectors(None, (0,))) == (
+            "grain counts must be an iterable of integers, got None")
+
     def test_numpy_bool_and_negative_numpy_integer(self):
         assert _rejected(lambda: Configuration.from_vectors((np.bool_(True),), (0,))).startswith(
             "grain counts must be integers")
@@ -369,6 +376,23 @@ class TestStochasticToppling:
         with pytest.raises(TopplingStallError):
             stabilize_stochastic(c, ToppleOracle(1), max_firings=3)
 
+    def test_budget_boundary(self):
+        # the budget allows exactly the firings that stabilization needs
+        rng = random.Random(23)
+        for trial in range(80):
+            m, n = rng.randint(0, 4), rng.randint(1, 4)
+            top = tuple(rng.randint(0, 3 * n) for _ in range(m))
+            bottom = tuple(rng.randint(m + 1, 3 * m + 3) for _ in range(n))
+            oracle = ToppleOracle(trial, p=rng.choice((0.2, 0.5, 1.0)))
+            want = oracles.naive_stabilize_ssm(top, bottom, oracle.bit)
+            c = Configuration.from_vectors(top, bottom)
+            fires = sum(want[2]) + sum(want[3])
+            got, (ft, fb) = stabilize_stochastic(c, oracle, max_firings=fires)
+            assert (got.top, got.bottom, ft, fb) == want
+            with pytest.raises(TopplingStallError) as exc:
+                stabilize_stochastic(c, oracle, max_firings=fires - 1)
+            assert str(exc.value).startswith(f"no stable state after {fires - 1} firings")
+
     def test_oracle_validation(self):
         with pytest.raises(ValueError):
             ToppleOracle(0, p=0.0)
@@ -428,8 +452,15 @@ class TestChain:
             markov_step("xyz", cfg("0,0;0,0"), Vertex("top", 1))
 
     def test_bad_policy_name(self):
-        with pytest.raises(ValueError):
-            stabilize_deterministic(cfg("2,1;0,2"), policy="random")
+        # checked before any bit is drawn, also when there is nothing to topple
+        for call in (
+            lambda: stabilize_deterministic(cfg("2,1;0,2"), policy="random"),
+            lambda: stabilize_stochastic(cfg("0,0;0,0"), ToppleOracle(1), "random"),
+            lambda: stabilize_stochastic(cfg("2,1;0,2"), ToppleOracle(1), "random"),
+            lambda: markov_step("ssm", cfg("0,0;0,0"), Vertex("top", 1), ToppleOracle(1),
+                                policy="random"),
+        ):
+            assert _rejected(call) == "unknown toppling policy 'random'"
 
 
 class TestVertexChoiceCoverage:
