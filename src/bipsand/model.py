@@ -14,11 +14,16 @@ the outcome independent of the order in which vertices are toppled, for
 both rules.
 
 asm stabilization follows no toppling order: it solves for the firing
-totals directly (the least-action odometer).  ssm stabilization fires the
-vertices of one stack, drawing each firing's bits as it fires.
+totals directly (the least-action odometer).  ssm stabilization with a
+stock ToppleOracle first fires in rounds: every unstable vertex fires as
+often as its grains allow, all at once, with the bits of the whole round
+drawn in one numpy batch.  Once a round would be small, and from the
+start for a small pile or any other oracle, it fires the vertices of one
+stack, drawing each firing's bits as it fires.
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -27,12 +32,29 @@ from itertools import compress
 from operator import index
 from typing import Iterator
 
-from ._prf import DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, bits_below, prf64, spread
+from ._prf import (
+    DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, below_array, bits_below, fold, fold_array, prf64,
+    spread,
+)
 from .errors import TopplingStallError
 
 MODELS = ("asm", "ssm")
 POLICIES = ("fifo", "lifo", "min-index")
 _MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
+
+# ssm stabilization fires in numpy rounds while a round holds at least
+# _ROUND_MIN firings, and hands the rest to the stack.  A run whose first
+# round is smaller than _ROUND_IMPORT does not load numpy for it: loading
+# costs a fresh process about 0.19 s, more than rounds save on such a pile.
+# A round fires at most _ROUND_BITS // (largest degree) firings, so its
+# bit matrix never grows with the grain count.  CHANGES.md has the timings.
+_ROUND_MIN = 8
+_ROUND_IMPORT = 1000
+_ROUND_BITS = 1 << 16
+
+# numpy, imported by the first stabilization whose first round reaches
+# _ROUND_IMPORT, so that small runs and every other command never load it
+np = None
 
 
 def _check_int(name: str, value, low: int | None = None) -> None:
@@ -295,6 +317,16 @@ def _neighbours(m: int, n: int) -> tuple:
     return tuple(range(m, m + n)), (m + n, *range(m))
 
 
+def _codes(m: int, n: int) -> list:
+    """Oracle key codes by slot, injective: sink 0, top i -> 2i, bottom j -> 2j+1."""
+    return [*range(2, 2 * m + 1, 2), *range(3, 2 * n + 2, 2), 0]
+
+
+def _stock(oracle) -> bool:
+    """True when oracle's bits are ToppleOracle.bit's, which may be drawn in batches."""
+    return getattr(type(oracle), "bit", None) is ToppleOracle.bit
+
+
 def _firing_bits(oracle: ToppleOracle, m: int, n: int):
     """Return draw(s, firing): the committed bits of that firing of slot s.
 
@@ -302,10 +334,9 @@ def _firing_bits(oracle: ToppleOracle, m: int, n: int):
     ToppleOracle's bits are drawn together from its cached key prefix;
     any other oracle's bit method is called once per bit, in key order.
     """
-    # Oracle key codes by slot, injective: sink 0, top i -> 2i, bottom j -> 2j+1.
-    codes = [*range(2, 2 * m + 1, 2), *range(3, 2 * n + 2, 2), 0]
+    codes = _codes(m, n)
     top_nb, bottom_nb = _neighbours(m, n)
-    if getattr(type(oracle), "bit", None) is ToppleOracle.bit:
+    if _stock(oracle):
         prefix, threshold = oracle._prefix, oracle._threshold
         top_words = [spread(codes[t]) for t in top_nb]
         bottom_words = [spread(codes[t]) for t in bottom_nb]
@@ -403,6 +434,95 @@ def stabilize_deterministic(
     return stable, (tuple([t // n for t in top]), tuple([b // degb for b in bottom]))
 
 
+def _unstable(grains: list, m: int, n: int) -> list:
+    """The unstable slots of the engine's grain list (the sink's entry last)."""
+    return [s for s in range(m + n) if grains[s] >= (n if s < m else m + 1)]
+
+
+def _stall(grains: list, m: int, n: int, oracle, max_firings: int) -> TopplingStallError:
+    """The error for a run that needs more than max_firings firings."""
+    return TopplingStallError(
+        f"no stable state after {max_firings} firings on "
+        f"K0_{{{m},{n}}} (p={getattr(oracle, 'p', '?')}); "
+        f"{len(_unstable(grains, m, n))} vertices still unstable"
+    )
+
+
+def _round_numpy(first: int):
+    """numpy, if rounds should run for a first round of this many firings;
+    else None.  numpy is imported here only for a round of _ROUND_IMPORT."""
+    global np
+    if np is None and (first >= _ROUND_IMPORT or "numpy" in sys.modules):
+        import numpy as np
+    return np
+
+
+def _rounds(grains: list, fires: list, m: int, n: int, oracle: ToppleOracle,
+            max_firings: int) -> int:
+    """Fire ssm rounds on grains and fires, in place; return the budget left.
+
+    A round fires each slot s floor(grains[s] / deg s) times at once, with
+    its next firing indices.  Each of these firings is legal: one sends
+    at most deg s grains, and arrivals only add.  The round's bits are
+    one flat batch, firing after firing in slot order, bit for bit those
+    _firing_bits draws.  Rounds stop before one of fewer than _ROUND_MIN
+    firings.  A round of more firings than the budget left raises
+    TopplingStallError: every legal firing is part of the unique
+    stabilizing odometer, so any order would stall.  Past _ROUND_BITS
+    bits, a round fires only its first firings in slot order.
+    """
+    degb = m + 1
+    codes = _codes(m, n)
+    prefix, threshold = oracle._prefix, oracle._threshold
+    # at p = 1 every bit is 1, and the threshold 2^64 fits no uint64
+    threshold = None if threshold >> 64 else np.uint64(threshold)
+    pa = np.array([fold(prefix, code) for code in codes[:-1]], np.uint64)
+    # one firing's receivers and folded last key words, top side then bottom
+    top_nb, bottom_nb = _neighbours(m, n)
+    top_words, bottom_words = (np.array([spread(codes[t]) for t in nbs], np.uint64)
+                               for nbs in (top_nb, bottom_nb))
+    top_nb, bottom_nb = np.array(top_nb), np.array(bottom_nb)
+    deg = np.array([n] * m + [degb] * n)
+    cap = max(1, _ROUND_BITS // max(n, degb))
+    g = np.array(grains, np.int64)  # the sink's entry collects, and is dropped
+    fired = np.array(fires, np.int64)
+    left = max_firings
+    with np.errstate(over="ignore"):
+        while True:
+            k = g[:-1] // deg
+            total = int(k.sum())
+            if total < _ROUND_MIN:
+                break
+            if total > left:
+                grains[:-1] = g[:-1].tolist()
+                raise _stall(grains, m, n, oracle, max_firings)
+            if total > cap:
+                k = np.diff(np.minimum(np.cumsum(k), cap), prepend=0)
+                total = cap
+            left -= total
+            idx = np.flatnonzero(k)
+            cnt = k[idx]
+            slots = np.repeat(idx, cnt)
+            width = deg[slots]
+            tops = int(k[:m].sum())
+            nbs = np.concatenate((np.tile(top_nb, tops), np.tile(bottom_nb, total - tops)))
+            senders = np.repeat(slots, width)
+            if threshold is None:
+                moved = slice(None)
+            else:
+                firing = np.repeat(fired[idx] - np.cumsum(cnt) + cnt, cnt) + np.arange(total)
+                acc = fold_array(pa[slots], firing.astype(np.uint64))
+                words = np.concatenate((np.tile(top_words, tops),
+                                        np.tile(bottom_words, total - tops)))
+                moved = below_array(np.repeat(acc, width), words, threshold)
+            g += np.bincount(nbs[moved], minlength=m + n + 1)
+            g -= np.bincount(senders[moved], minlength=m + n + 1)
+            fired += k
+    grains[:-1] = g[:-1].tolist()
+    fires[:] = fired.tolist()
+    return left
+
+
 def stabilize_stochastic(
     c: Configuration,
     oracle: ToppleOracle,
@@ -413,27 +533,41 @@ def stabilize_stochastic(
 
     A firing may move zero grains (all bits 0); it still takes the vertex's
     next firing index, so each firing consumes fresh bits.  The bits are
-    committed, so every toppling order gives the same result: one stack
-    holds the unstable vertices, and policy is only checked against
-    POLICIES (ValueError otherwise).  To avoid hanging on adversarial
-    oracles, more than max_firings total firings raises TopplingStallError;
-    max_firings must be an int >= 0 (ValueError otherwise, before any bit
-    is drawn).  Termination is almost sure for any p > 0.
+    committed, so every legal firing order gives the same result, and
+    policy is only checked against POLICIES (ValueError otherwise).  A
+    stock ToppleOracle fires in rounds first: every vertex fires as often
+    as its grains allow, all at once, its bits drawn in one numpy batch
+    (see _rounds).  Once a round would fire fewer than _ROUND_MIN times,
+    or from the start for a small pile or any other oracle, one stack holds
+    the unstable vertices, fired one at a time.  To avoid hanging on
+    adversarial oracles, more than max_firings total firings raises
+    TopplingStallError; max_firings must be an int >= 0 (ValueError
+    otherwise, before any bit is drawn).  Termination is almost sure for
+    any p > 0.
     """
     _check_int("max_firings", max_firings, 0)
     _check_policy(policy)
     m, n = c.shape.m, c.shape.n
-    draw = _firing_bits(oracle, m, n)
     degb = m + 1
     # the sink starts above n, so no grain takes it to exactly n: never pushed
     grains = [*c.top, *c.bottom, n + 1]
     # a vertex is pushed when it turns unstable, so it is never on the stack twice
-    stack = [s for s in range(m + n) if grains[s] >= (n if s < m else degb)]
+    stack = _unstable(grains, m, n)
     if not stack:
         return c, ((0,) * m, (0,) * n)
-    top_nb, bottom_nb = _neighbours(m, n)
     fires = [0] * (m + n)
+    # the firings a first round would take are all part of the odometer
+    first = sum(grains[s] // (n if s < m else degb) for s in stack)
+    if first > max_firings:
+        raise _stall(grains, m, n, oracle, max_firings)
     left = max_firings
+    # int64 holds every count in a round when it holds the sum of them all
+    if (first >= _ROUND_MIN and _stock(oracle) and _round_numpy(first) is not None
+            and sum(grains) < 1 << 63):
+        left = _rounds(grains, fires, m, n, oracle, max_firings)
+        stack = _unstable(grains, m, n)
+    draw = _firing_bits(oracle, m, n)
+    top_nb, bottom_nb = _neighbours(m, n)
     while stack:
         s = stack.pop()
         # every neighbour of s sits on the other side, so shares one degree
@@ -453,12 +587,7 @@ def stabilize_stochastic(
             g -= len(got)
         grains[s], fires[s] = g, firing
         if g >= deg:
-            unstable = sum(x >= n for x in grains[:m]) + sum(x >= degb for x in grains[m:-1])
-            raise TopplingStallError(
-                f"no stable state after {max_firings} firings on "
-                f"K0_{{{m},{n}}} (p={getattr(oracle, 'p', '?')}); "
-                f"{unstable} vertices still unstable"
-            )
+            raise _stall(grains, m, n, oracle, max_firings)
     stable = Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
     return stable, (tuple(fires[:m]), tuple(fires[m:]))
 

@@ -21,7 +21,6 @@ from itertools import accumulate
 from operator import ge
 from typing import Optional, Sequence
 
-from .errors import GuardError
 from .model import BipartiteShape, Configuration, _check_model
 
 # From this many entries on (m+n) numpy beats pure Python, tuple-to-array
@@ -154,18 +153,7 @@ class ForbiddenWitness:
     bottom_indices: tuple
 
 
-def _witness_guard(c: Configuration, guard: int) -> None:
-    _require_stable(c, "forbidden witness search")
-    m, n = c.shape.m, c.shape.n
-    if m + n > guard:
-        raise GuardError(
-            f"forbidden witness search needs m+n <= {guard}, got {m + n}"
-        )
-
-
-def forbidden_witness_ssm(
-    c: Configuration, guard: int = 24
-) -> Optional[ForbiddenWitness]:
+def forbidden_witness_ssm(c: Configuration) -> Optional[ForbiddenWitness]:
     """First vertex-subset pair violating the stochastic grain inequality.
 
     Scans pairs in lexicographic order of (|B|, B, A) over nonempty
@@ -176,9 +164,9 @@ def forbidden_witness_ssm(
     cheapest nonempty A sums the negative w, or takes min w when none is
     negative.  B, then A, is built index by index, each index the smallest
     whose cheapest completion still fits: O(n(m+n)) time, O(m+n) memory.
-    guard, the largest m+n accepted, is kept for compatibility.
+    ValueError unless c is stable.
     """
-    _witness_guard(c, guard)
+    _require_stable(c, "forbidden witness search")
     top, bottom = c.top, c.bottom
     lightest = list(accumulate(sorted(bottom)))  # lightest[b-1]: least S_B with |B| = b
     for b in range(1, len(bottom) + 1):
@@ -205,18 +193,16 @@ def forbidden_witness_ssm(
     return None
 
 
-def forbidden_witness_asm(
-    c: Configuration, guard: int = 24
-) -> Optional[ForbiddenWitness]:
+def forbidden_witness_asm(c: Configuration) -> Optional[ForbiddenWitness]:
     """First vertex-subset pair whose induced subgraph is stable.
 
     A pair (A, B) of nonempty subsets qualifies when every top entry in A
     is below |B| and every bottom entry in B is below |A|.  Same scan
-    order and guard as the stochastic search.  For each b = |B|, A lies in
+    order and stability check as the stochastic search.  For each b = |B|, A lies in
     S = {i : t_i < b}, so B takes the first b bottom entries below |S| and
     A the shortest prefix of S longer than every entry of B: O(n(m+n)) time.
     """
-    _witness_guard(c, guard)
+    _require_stable(c, "forbidden witness search")
     for b in range(1, c.shape.n + 1):
         s = [i for i, t in enumerate(c.top, 1) if t < b]
         b_set = [j for j, u in enumerate(c.bottom, 1) if u < len(s)][:b]

@@ -1,4 +1,5 @@
 """Core state, toppling, stabilization, and the grain-addition chain."""
+import functools
 import itertools
 import random
 import sys
@@ -323,6 +324,29 @@ class TestOdometer:
         assert sum(ft) + sum(fb) == firings
 
 
+def _budget_inputs():
+    """Seeded (top, bottom, oracle) inputs, every bottom vertex unstable."""
+    rng = random.Random(23)
+    for trial in range(80):
+        m, n = rng.randint(0, 4), rng.randint(1, 4)
+        top = tuple(rng.randint(0, 3 * n) for _ in range(m))
+        bottom = tuple(rng.randint(m + 1, 3 * m + 3) for _ in range(n))
+        yield top, bottom, ToppleOracle(trial, p=rng.choice((0.2, 0.5, 1.0)))
+
+
+def _check_budget_boundary(top, bottom, oracle):
+    """A budget of exactly the naive oracle's firing total F succeeds, and
+    F - 1 stalls with the budget in the message."""
+    want = oracles.naive_stabilize_ssm(top, bottom, oracle.bit)
+    c = Configuration.from_vectors(top, bottom)
+    fires = sum(want[2]) + sum(want[3])
+    got, (ft, fb) = stabilize_stochastic(c, oracle, max_firings=fires)
+    assert (got.top, got.bottom, ft, fb) == want
+    with pytest.raises(TopplingStallError) as exc:
+        stabilize_stochastic(c, oracle, max_firings=fires - 1)
+    assert str(exc.value).startswith(f"no stable state after {fires - 1} firings")
+
+
 class TestStochasticToppling:
     def test_committed_trace(self):
         # scripted coin flips; codes: sink 0, top i -> 2i, bottom j -> 2j+1
@@ -378,20 +402,8 @@ class TestStochasticToppling:
 
     def test_budget_boundary(self):
         # the budget allows exactly the firings that stabilization needs
-        rng = random.Random(23)
-        for trial in range(80):
-            m, n = rng.randint(0, 4), rng.randint(1, 4)
-            top = tuple(rng.randint(0, 3 * n) for _ in range(m))
-            bottom = tuple(rng.randint(m + 1, 3 * m + 3) for _ in range(n))
-            oracle = ToppleOracle(trial, p=rng.choice((0.2, 0.5, 1.0)))
-            want = oracles.naive_stabilize_ssm(top, bottom, oracle.bit)
-            c = Configuration.from_vectors(top, bottom)
-            fires = sum(want[2]) + sum(want[3])
-            got, (ft, fb) = stabilize_stochastic(c, oracle, max_firings=fires)
-            assert (got.top, got.bottom, ft, fb) == want
-            with pytest.raises(TopplingStallError) as exc:
-                stabilize_stochastic(c, oracle, max_firings=fires - 1)
-            assert str(exc.value).startswith(f"no stable state after {fires - 1} firings")
+        for top, bottom, oracle in _budget_inputs():
+            _check_budget_boundary(top, bottom, oracle)
 
     def test_oracle_validation(self):
         with pytest.raises(ValueError):
@@ -410,6 +422,113 @@ class TestStochasticToppling:
         assert [a.bit(2, k, 5) for k in range(50)] == [
             b.bit(2, k, 5) for k in range(50)
         ]
+
+
+@functools.cache
+def _round_cases() -> tuple:
+    """300 seeded (top, bottom, oracle, naive result) cases, m = 0 and p = 1
+    included; a third hold piles that take several rounds."""
+    rng = random.Random(61)
+    cases = []
+    for trial in range(300):
+        m, n = rng.randint(0, 9), rng.randint(1, 9)
+        top = [rng.randint(0, 2 * n) for _ in range(m)]
+        bottom = [rng.randint(0, 2 * m + 2) for _ in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            side = top if m and rng.random() < 0.5 else bottom
+            side[rng.randrange(len(side))] += rng.randint(40, 200)
+        oracle = ToppleOracle(trial, rng.choice((0.1, 0.3, 0.5, 0.9, 1.0)))
+        cases.append((top, bottom, oracle, oracles.naive_stabilize_ssm(top, bottom, oracle.bit)))
+    return tuple(cases)
+
+
+class TestRounds:
+    """A stock ToppleOracle fires in numpy rounds, then from the stack; both
+    settings below must give the naive oracle's state and firing counts:
+    every round batched (_ROUND_MIN = 1) and the default hand-off."""
+
+    @pytest.fixture(params=[1, None], ids=["every-round", "default"])
+    def rounds(self, request, monkeypatch):
+        """The list of calls of the rounds engine, as they happen."""
+        import bipsand.model
+
+        if request.param is not None:
+            monkeypatch.setattr(bipsand.model, "_ROUND_MIN", request.param)
+        calls = []
+        engine = bipsand.model._rounds
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(bipsand.model, "_rounds", counted)
+        return calls
+
+    def test_matches_naive(self, rounds):
+        for top, bottom, oracle, want in _round_cases():
+            got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom), oracle)
+            assert (got.top, got.bottom, ft, fb) == want, (top, bottom, oracle)
+        assert len(rounds) > 60, len(rounds)
+
+    def test_capped_rounds_match_naive(self, rounds, monkeypatch):
+        # rounds of a few firings each: a capped round fires a prefix of the
+        # legal firings, and the next round fires the rest
+        import bipsand.model
+
+        monkeypatch.setattr(bipsand.model, "_ROUND_BITS", 24)
+        for top, bottom, oracle, want in _round_cases()[:100]:
+            got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom), oracle)
+            assert (got.top, got.bottom, ft, fb) == want, (top, bottom, oracle)
+        assert rounds
+
+    def test_budget_boundary(self, rounds):
+        for top, bottom, oracle in _budget_inputs():
+            _check_budget_boundary(top, bottom, oracle)
+        # piles whose stall falls inside a round at the default setting too
+        rng = random.Random(29)
+        for trial in range(6):
+            m, n = rng.randint(0, 5), rng.randint(1, 5)
+            top = tuple(rng.randint(0, 60) for _ in range(m))
+            _check_budget_boundary(top, (300,) * n, ToppleOracle(trial, 0.5))
+        assert rounds
+
+    def test_overridden_bit_is_called_once_per_bit(self, rounds):
+        # bench/golden.json's bit counts rest on this: a subclass is no stock oracle
+        draws = []
+
+        class Counting(ToppleOracle):
+            def bit(self, vertex_code, firing, neighbor_code):
+                draws.append(1)
+                return super().bit(vertex_code, firing, neighbor_code)
+
+        c = Configuration.from_vectors((2000, 0, 0, 0, 0), (0,) * 5)
+        got = stabilize_stochastic(c, Counting(1, 0.5))
+        assert got == stabilize_stochastic(c, ToppleOracle(1, 0.5))
+        ft, fb = got[1]
+        assert (sum(ft) + sum(fb), len(draws)) == (8329, 45416)
+        assert len(draws) == 5 * sum(ft) + 6 * sum(fb)
+        assert len(rounds) == 1  # the stock oracle's run only
+
+    def test_huge_pile_stalls_at_once(self):
+        # the first round alone needs 5 * 10^11 firings, so both budgets
+        # stall at once; spending 10^6 firings one at a time takes about 3 s
+        c = Configuration.from_vectors((10**12, 0), (0, 0))
+        for budget in (10**6, 5 * 10**11):
+            start = time.perf_counter()
+            with pytest.raises(TopplingStallError) as exc:
+                stabilize_stochastic(c, ToppleOracle(1, 0.5), max_firings=budget)
+            assert time.perf_counter() - start < 0.5
+            assert str(exc.value).startswith(f"no stable state after {budget} firings")
+
+    def test_pile_past_int64_stalls_at_once(self):
+        # no round holds such counts, so only the first-round bound stops it
+        # before the stack spends the budget one firing at a time
+        c = Configuration.from_vectors((10**30, 0), (0, 0))
+        for budget in (10, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(TopplingStallError):
+                stabilize_stochastic(c, ToppleOracle(1, 0.5), max_firings=budget)
+            assert time.perf_counter() - start < 0.5
 
 
 class TestChain:

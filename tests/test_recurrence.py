@@ -17,7 +17,7 @@ from bipsand import (
     BipartiteShape,
     Configuration,
     ForbiddenWitness,
-    GuardError,
+    ToppleOracle,
     counts_below,
     forbidden_witness_asm,
     forbidden_witness_ssm,
@@ -27,6 +27,7 @@ from bipsand import (
     level,
     sort_config,
 )
+from bipsand.model import _ROUND_IMPORT
 from bipsand.recurrence import _NP_MIN, _dominates
 
 
@@ -220,27 +221,18 @@ class TestWitnesses:
         assert oracles.first_ssm_witness(top, bottom) == ((1, 2, 3), (1, 4))
 
     def test_guard(self):
-        c = Configuration.from_vectors((0,) * 13, (0,) * 12)
-        with pytest.raises(GuardError):
-            forbidden_witness_ssm(c)
-        with pytest.raises(GuardError):
-            forbidden_witness_asm(c)
-        # explicit guard tightens the limit too
-        small = Configuration.from_vectors((0, 0, 0), (0, 0, 0))
-        with pytest.raises(GuardError):
-            forbidden_witness_ssm(small, guard=4)
-        # at the default boundary the search still runs
-        ok = Configuration.from_vectors((0,) * 12, (0,) * 12)
-        assert forbidden_witness_ssm(ok) is not None
-
-    def test_guard_message_names_the_limit(self):
-        # the searches are polynomial, so the message claims no subset count
-        c = Configuration.from_vectors((0, 0, 0), (0, 0, 0))
+        # the scans are polynomial, so no size is refused, past the old
+        # m+n <= 24 limit included; only the stability check is left
+        for m, n in ((13, 12), (300, 300)):
+            c = Configuration.from_vectors((0,) * m, (0,) * n)
+            assert forbidden_witness_ssm(c) == ForbiddenWitness("ssm", (1,), (1,))
+            assert forbidden_witness_asm(c) == ForbiddenWitness("asm", (1,), (1,))
+        unstable = Configuration.from_vectors((3,), (0, 0))
         for search in (forbidden_witness_ssm, forbidden_witness_asm):
-            with pytest.raises(GuardError) as info:
-                search(c, guard=4)
-            assert "m+n <= 4, got 6" in str(info.value)
-            assert "2^" not in str(info.value)
+            with pytest.raises(ValueError, match="stable configurations only"):
+                search(unstable)
+            with pytest.raises(TypeError):
+                search(c, guard=24)  # the parameter is gone
 
 
 class TestSortConfig:
@@ -495,7 +487,7 @@ class TestGreedyWitnessScan:
             rng.shuffle(bottom)
             c = Configuration.from_vectors(top, bottom)
             for model, search in (("ssm", forbidden_witness_ssm), ("asm", forbidden_witness_asm)):
-                w = search(c, guard=1000)
+                w = search(c)
                 recurrent = is_recurrent(c, model)
                 verdicts.add((model, recurrent))
                 assert (w is None) == recurrent
@@ -556,7 +548,8 @@ def _fresh(code):
 
 
 class TestNumpyLoadedLazily:
-    """numpy is imported by the first check with m+n >= _NP_MIN, not before."""
+    """numpy is imported by the first check with m+n >= _NP_MIN, or the first
+    ssm stabilization whose first round reaches _ROUND_IMPORT, not before."""
 
     def test_import_leaves_numpy_unloaded(self):
         assert _fresh("import sys, bipsand, bipsand.cli; print('numpy' in sys.modules)") == "False\n"
@@ -570,6 +563,8 @@ class TestNumpyLoadedLazily:
         ["dag", "--model", "asm", "--m", "2", "--n", "2"],
         ["enumerate", "--m", "2", "--n", "2", "--recurrent", "--model", "asm"],
         ["census", "--m", "3", "--n", "3", "--model", "ssm"],
+        # a first round of 100 firings: rounds would not repay loading numpy
+        ["stabilize", "600,0,0,0,0,0;0,0,0,0,0,0", "--model", "ssm", "--seed", "5"],
     ])
     def test_small_commands_leave_numpy_unloaded(self, argv):
         code = (
@@ -592,6 +587,23 @@ class TestNumpyLoadedLazily:
             "print(before, is_recurrent(c, 'asm'), 'numpy' in sys.modules)"
         )
         assert _fresh(code) == "False True True\n"
+
+    def test_first_large_pile_loads_numpy(self):
+        # K2,2 piles with first rounds of _ROUND_IMPORT - 1 and _ROUND_IMPORT
+        # firings: only the second loads numpy, and both match the naive oracle
+        piles = [(2 * _ROUND_IMPORT - 2, 0), (2 * _ROUND_IMPORT, 1)]
+        code = (
+            "import sys\n"
+            "from bipsand import Configuration, ToppleOracle, stabilize_stochastic\n"
+            f"for top in {piles!r}:\n"
+            "    c = Configuration.from_vectors(top, (0, 0))\n"
+            "    stable, (ft, fb) = stabilize_stochastic(c, ToppleOracle(7, 0.5))\n"
+            "    print('numpy' in sys.modules, stable.top, stable.bottom, ft, fb)\n"
+        )
+        bit = ToppleOracle(7, 0.5).bit
+        want = [" ".join(map(str, (loads, *oracles.naive_stabilize_ssm(top, (0, 0), bit))))
+                for loads, top in zip((False, True), piles)]
+        assert _fresh(code).splitlines() == want
 
     def test_a_stand_in_set_before_the_first_large_check_is_kept(self):
         # a profiler may put a proxy in place of numpy; the check must use it
