@@ -24,6 +24,8 @@ from .errors import GuardError
 from .model import BipartiteShape, Configuration, _check_int, _check_model
 from .recurrence import _dominates, counts_below, is_recurrent
 
+_DAG_MAX_CELLS = 36  # build_dag's bound on m*n: 0.02 s at 6x6 (905 diagrams)
+
 
 @dataclass(frozen=True)
 class FerrersDiagram:
@@ -291,17 +293,17 @@ class FerrersDag:
         return [v for v in self.vertices if v not in with_out]
 
 
-def build_dag(model: str, shape: BipartiteShape, guard: int = 36) -> FerrersDag:
+def build_dag(model: str, shape: BipartiteShape) -> FerrersDag:
     """All diagrams for the shape plus every legal one-move edge between them.
 
     Vertices for ssm: at most m columns, n rows, area at least m.  For asm:
     exactly m columns (so only add edges appear).  The DAG is bipolar with
-    source (0,..,0,m) and sink (m,..,m).
+    source (0,..,0,m) and sink (m,..,m).  GuardError past _DAG_MAX_CELLS.
     """
     _check_model(model)
     m, n = shape.m, shape.n
-    if m * n > guard:
-        raise GuardError(f"diagram DAG needs m*n <= {guard}, got {m * n}")
+    if m * n > _DAG_MAX_CELLS:
+        raise GuardError(f"diagram DAG needs m*n <= {_DAG_MAX_CELLS}, got {m * n}")
     keep = (lambda rows: sum(rows) >= m) if model == "ssm" else (lambda rows: rows[-1] == m)
     vertices = [
         FerrersDiagram(rows)

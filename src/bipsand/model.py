@@ -9,17 +9,16 @@ Two toppling rules are supported: deterministic (asm), where an unstable
 vertex sends one grain to each neighbour, and stochastic (ssm), where each
 neighbour receives a grain with probability p, independently.  Stochastic
 runs are reproducible because every coin flip is a committed bit: a pure
-function of (seed, p, vertex, firing index, neighbour).  That also makes
-the outcome independent of the order in which vertices are toppled, for
-both rules.
+function of (seed, p, vertex, firing index, neighbour).  So neither rule
+has a toppling order to choose: the stable result is unique.
 
-asm stabilization follows no toppling order: it solves for the firing
-totals directly (the least-action odometer).  ssm stabilization with a
-stock ToppleOracle first fires in rounds: every unstable vertex fires as
-often as its grains allow, all at once, with the bits of the whole round
-drawn in one numpy batch.  Once a round would be small, and from the
-start for a small pile or any other oracle, it fires the vertices of one
-stack, drawing each firing's bits as it fires.
+asm stabilization solves for the firing totals directly (the least-action
+odometer).  ssm stabilization with a stock ToppleOracle first fires in
+rounds: every unstable vertex fires as often as its grains allow, all at
+once, with the bits of the whole round drawn in one numpy batch.  Once a
+round would be small, and from the start for a small pile or any other
+oracle, it fires the vertices of one stack, drawing each firing's bits as
+it fires.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from ._prf import (
 from .errors import TopplingStallError
 
 MODELS = ("asm", "ssm")
-POLICIES = ("fifo", "lifo", "min-index")
+_POLICIES = ("fifo", "lifo", "min-index")
 _MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
 
 # ssm stabilization fires in numpy rounds while a round holds at least
@@ -390,7 +389,7 @@ def topple_stochastic(
 
 
 def _check_policy(policy: str) -> None:
-    if policy not in POLICIES:
+    if policy not in _POLICIES:
         raise ValueError(f"unknown toppling policy {policy!r}")
 
 
@@ -399,10 +398,9 @@ def stabilize_deterministic(
 ) -> tuple[Configuration, tuple[tuple, tuple]]:
     """Topple until stable; returns (stable configuration, firing counts).
 
-    asm is Abelian, so the result uses no toppling order; policy is only
-    checked against POLICIES (ValueError otherwise).  A stable c is
-    returned itself, with zero firings.  The firing totals (T, B) are the
-    least fixed point of T = sum_i floor((t_i + B)/n) and
+    policy orders nothing; a name outside _POLICIES raises ValueError.  A
+    stable c is returned itself, with zero firings.  The firing totals
+    (T, B) are the least fixed point of T = sum_i floor((t_i + B)/n) and
     B = sum_j floor((b_j + T)/(m+1)).  With t_i = n*q_i + r_i and
     B = n*a + s, the first sum is sum(q) + m*a + #{i : r_i >= n - s}, one
     bisection in the sorted residues.  Both sums rise with their argument,
@@ -532,14 +530,13 @@ def stabilize_stochastic(
     """Stochastically topple until stable; returns (configuration, firing counts).
 
     A firing may move zero grains (all bits 0); it still takes the vertex's
-    next firing index, so each firing consumes fresh bits.  The bits are
-    committed, so every legal firing order gives the same result, and
-    policy is only checked against POLICIES (ValueError otherwise).  A
-    stock ToppleOracle fires in rounds first: every vertex fires as often
-    as its grains allow, all at once, its bits drawn in one numpy batch
-    (see _rounds).  Once a round would fire fewer than _ROUND_MIN times,
-    or from the start for a small pile or any other oracle, one stack holds
-    the unstable vertices, fired one at a time.  To avoid hanging on
+    next firing index, so each firing consumes fresh bits.  policy orders
+    nothing; a name outside _POLICIES raises ValueError.  A stock
+    ToppleOracle fires in rounds first: every vertex fires as often as its
+    grains allow, all at once, its bits drawn in one numpy batch (see
+    _rounds).  Once a round would fire fewer than _ROUND_MIN times, or from
+    the start for a small pile or any other oracle, one stack holds the
+    unstable vertices, fired one at a time.  To avoid hanging on
     adversarial oracles, more than max_firings total firings raises
     TopplingStallError; max_firings must be an int >= 0 (ValueError
     otherwise, before any bit is drawn).  Termination is almost sure for
@@ -612,7 +609,6 @@ def markov_step(
     c: Configuration,
     v: Vertex,
     oracle: ToppleOracle | None = None,
-    policy: str = "fifo",
     max_firings: int = _MAX_FIRINGS,
 ) -> Configuration:
     """One step of the grain-addition chain: add a grain at v, then stabilize.
@@ -626,10 +622,10 @@ def markov_step(
         raise ValueError("markov_step starts from a stable configuration")
     bumped = add_grain(c, v)
     if model == "asm":
-        return stabilize_deterministic(bumped, policy)[0]
+        return stabilize_deterministic(bumped)[0]
     if oracle is None:
         raise ValueError("ssm steps need a ToppleOracle")
-    return stabilize_stochastic(bumped, oracle, policy, max_firings)[0]
+    return stabilize_stochastic(bumped, oracle, max_firings=max_firings)[0]
 
 
 def trajectory(

@@ -16,7 +16,6 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 from .model import Configuration
@@ -56,15 +55,15 @@ class MotzkinWord:
     def n(self) -> int:
         return self.steps.count("D") + self.steps.count("HN") + 1
 
-    def area(self) -> Fraction:
+    def area(self) -> int:
         """Area between the path and the axis: the sum of the step heights.
 
         A step starting at height h encloses h, plus 1/2 for U and minus 1/2
         for D.  The word ends on the axis, so its U and D steps pair up, the
-        halves cancel, and the area is the sum of the starting heights (an
-        integer, returned as a Fraction).
+        halves cancel, and the area is the sum of the starting heights, an
+        integer.
         """
-        return Fraction(sum(accumulate(map(_RISE.get, self.steps), initial=0)))
+        return sum(accumulate(map(_RISE.get, self.steps), initial=0))
 
     @classmethod
     def from_text(cls, text: str) -> "MotzkinWord":

@@ -4,10 +4,10 @@ A stable configuration is recurrent exactly when the sorted bottom side
 dominates the k-vector of the top side: prefixwise for the stochastic
 model, rowwise for the deterministic one.  The k-vector entry k_j counts
 the top vertices holding fewer than j grains; it is computed by a counting
-pass.  From _NP_MIN entries on, the bottom side is sorted by counting too,
-so both checks stay linear; below that size a comparison sort is faster.
-The first large check of a configuration answers both models and records
-the two verdicts on it, so the second is a lookup.
+pass.  The numpy path sorts the bottom side by counting too, so both
+checks stay linear; smaller checks, and those below _NP_IMPORT while
+numpy is not loaded, use a comparison sort.  A numpy check records both
+models' verdicts on the configuration, so the second is a lookup.
 Ferrers compatibility (ferrers.is_compatible, is_strongly_compatible) is
 the same dominance test, run on the rows of a diagram pair.  The first
 forbidden vertex-subset pair, which certifies non-recurrence, is found by
@@ -15,6 +15,7 @@ a greedy scan in polynomial time and O(m+n) memory.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from bisect import bisect_left
 from itertools import accumulate
@@ -23,11 +24,13 @@ from typing import Optional, Sequence
 
 from .model import BipartiteShape, Configuration, _check_model
 
-# From this many entries on (m+n) numpy beats pure Python, tuple-to-array
-# conversion included; the two paths tie at about 160 (CHANGES.md has the table).
+# From _NP_MIN entries on (m+n) a loaded numpy beats pure Python, conversion
+# included; a check repays numpy's import (0.12-0.16 s in a fresh process)
+# only from _NP_IMPORT entries on.  CHANGES.md has both tables.
 _NP_MIN = 192
+_NP_IMPORT = 400_000
 
-# numpy, imported by the first check that reaches _NP_MIN, so that small
+# numpy, imported by the first check that reaches _NP_IMPORT, so that small
 # checks and every other command never pay for loading it.  A value already
 # set here (a caller's stand-in) is kept.
 np = None
@@ -68,9 +71,10 @@ def _dominates(lower: Sequence[int], upper: Sequence[int], rowwise: bool) -> boo
 def _check(c: Configuration, rowwise: bool, op: str) -> bool:
     """Dominance of the sorted bottom side over the k-vector: rowwise for
     asm, prefixwise for ssm; ValueError unless c is stable.  numpy from
-    _NP_MIN entries on, pure Python below."""
+    _NP_MIN entries on if loaded, else from _NP_IMPORT; pure Python below."""
     m, n = c.shape.m, c.shape.n
-    if m + n < _NP_MIN:
+    if m + n < _NP_MIN or (
+            m + n < _NP_IMPORT and np is None and "numpy" not in sys.modules):
         _require_stable(c, op)
         return _dominates(counts_below(c.top, n), sorted(c.bottom), rowwise)
     if c._rowwise is None:

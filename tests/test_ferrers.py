@@ -370,8 +370,11 @@ class TestDag:
                     assert v.rows not in oracles.dag_reachable(edges, w)
 
     def test_guard(self):
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError, match=r"diagram DAG needs m\*n <= 36, got 42"):
             build_dag("ssm", BipartiteShape(7, 6))
+        assert len(build_dag("ssm", BipartiteShape(6, 6)).vertices) == 905
+        with pytest.raises(TypeError):
+            build_dag("ssm", BipartiteShape(7, 6), guard=100)  # the parameter is gone
 
     def test_dot_output(self):
         dag = build_dag("ssm", BipartiteShape(2, 2))

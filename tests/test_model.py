@@ -264,17 +264,15 @@ class TestDeterministicToppling:
         assert stable == c
         assert fires == ((0, 0), (0, 0))
 
-    def test_policies_match_naive(self):
+    def test_matches_naive(self):
         rng = random.Random(11)
         for _ in range(200):
             m, n = rng.randint(1, 3), rng.randint(1, 3)
             top = tuple(rng.randint(0, 2 * n) for _ in range(m))
             bottom = tuple(rng.randint(0, 2 * m + 2) for _ in range(n))
             want = oracles.naive_stabilize_asm(top, bottom)
-            c = Configuration.from_vectors(top, bottom)
-            for policy in ("fifo", "lifo", "min-index"):
-                got, (ft, fb) = stabilize_deterministic(c, policy=policy)
-                assert (got.top, got.bottom, ft, fb) == want
+            got, (ft, fb) = stabilize_deterministic(Configuration.from_vectors(top, bottom))
+            assert (got.top, got.bottom, ft, fb) == want
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -390,10 +388,8 @@ class TestStochasticToppling:
             bottom = tuple(rng.randint(0, 2 * m + 1) for _ in range(n))
             oracle = ToppleOracle(trial, p=0.5)
             want = oracles.naive_stabilize_ssm(top, bottom, oracle.bit)
-            c = Configuration.from_vectors(top, bottom)
-            for policy in ("fifo", "lifo", "min-index"):
-                got, (ft, fb) = stabilize_stochastic(c, oracle, policy=policy)
-                assert (got.top, got.bottom, ft, fb) == want
+            got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom), oracle)
+            assert (got.top, got.bottom, ft, fb) == want
 
     def test_stall_guard(self):
         c = cfg("9,9;9,9")
@@ -576,10 +572,17 @@ class TestChain:
             lambda: stabilize_deterministic(cfg("2,1;0,2"), policy="random"),
             lambda: stabilize_stochastic(cfg("0,0;0,0"), ToppleOracle(1), "random"),
             lambda: stabilize_stochastic(cfg("2,1;0,2"), ToppleOracle(1), "random"),
-            lambda: markov_step("ssm", cfg("0,0;0,0"), Vertex("top", 1), ToppleOracle(1),
-                                policy="random"),
         ):
             assert _rejected(call) == "unknown toppling policy 'random'"
+
+    def test_every_policy_name_gives_the_default(self):
+        # the names stay accepted, positionally too, and order nothing
+        c = cfg("5,0,3;0,7")
+        oracle = ToppleOracle(3, 0.5)
+        det, sto = stabilize_deterministic(c), stabilize_stochastic(c, oracle)
+        for policy in ("fifo", "lifo", "min-index"):
+            assert stabilize_deterministic(c, policy) == det
+            assert stabilize_stochastic(c, oracle, policy, max_firings=100) == sto
 
 
 class TestVertexChoiceCoverage:
@@ -612,20 +615,19 @@ class TestOneEngine:
         monkeypatch.setattr(bipsand.model, "prf64", refuse)
         monkeypatch.setattr(bipsand.model, "bits_below", refuse)
 
-    @pytest.mark.parametrize("policy", ["fifo", "lifo", "min-index"])
-    def test_asm_never_draws_bits(self, no_bits, policy):
+    def test_asm_never_draws_bits(self, no_bits):
         rng = random.Random(23)
         for _ in range(50):
             m, n = rng.randint(0, 4), rng.randint(1, 4)
             top = tuple(rng.randint(0, 3 * n) for _ in range(m))
             bottom = tuple(rng.randint(0, 3 * m + 3) for _ in range(n))
             want = oracles.naive_stabilize_asm(top, bottom)
-            got, (ft, fb) = stabilize_deterministic(Configuration.from_vectors(top, bottom), policy)
+            got, (ft, fb) = stabilize_deterministic(Configuration.from_vectors(top, bottom))
             assert (got.top, got.bottom, ft, fb) == want
         state = Configuration.zero(BipartiteShape(3, 4))
         for k in range(60):
             v = Vertex("top", k % 3 + 1) if k % 2 else Vertex("bottom", k % 4 + 1)
-            state = markov_step("asm", state, v, policy=policy)
+            state = markov_step("asm", state, v)
             assert state.is_stable
         assert topple_deterministic(cfg("2,1;0,2"), Vertex("top", 1)).to_text() == "0,1;1,3"
 
@@ -635,11 +637,9 @@ class TestOneEngine:
         bottom=st.lists(st.integers(0, 12), min_size=1, max_size=5),
         seed=st.integers(-(2**70), 2**70),
     )
-    def test_full_probability_matches_deterministic_every_policy(self, top, bottom, seed):
+    def test_full_probability_matches_deterministic(self, top, bottom, seed):
         c = Configuration.from_vectors(top, bottom)
-        oracle = ToppleOracle(seed, 1.0)
-        for policy in ("fifo", "lifo", "min-index"):
-            assert stabilize_deterministic(c, policy) == stabilize_stochastic(c, oracle, policy)
+        assert stabilize_deterministic(c) == stabilize_stochastic(c, ToppleOracle(seed, 1.0))
 
 
 _C = Configuration.from_text("0,2,2;2,2,2")
@@ -741,11 +741,10 @@ class TestScalarArguments:
 
 class TestChainHasNoPolicy:
     """Committed bits make each stabilization order-free, so the chain has no
-    policy: simulate equals a hand-written markov_step chain under every one."""
+    policy: simulate equals a hand-written markov_step chain."""
 
-    @pytest.mark.parametrize("policy", ["fifo", "lifo", "min-index"])
     @pytest.mark.parametrize("model", ["asm", "ssm"])
-    def test_simulate_matches_every_policy(self, model, policy):
+    def test_simulate_matches_markov_steps(self, model):
         steps = 150
         for k in (2, 3):
             shape = BipartiteShape(k, k)
@@ -756,14 +755,17 @@ class TestChainHasNoPolicy:
                     r = prf64(seed, DOMAIN_CHOICE, t) % (2 * k)
                     v = Vertex("top", r + 1) if r < k else Vertex("bottom", r - k + 1)
                     oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t)) if model == "ssm" else None
-                    state = markov_step(model, state, v, oracle, policy)
+                    state = markov_step(model, state, v, oracle)
                     visits[state] += 1
                 assert simulate(model, shape, steps, seed) == visits
 
-    @pytest.mark.parametrize("call", [simulate, lambda *a, **kw: list(trajectory(*a, **kw))])
+    @pytest.mark.parametrize(
+        "call", [simulate, lambda *a, **kw: list(trajectory(*a, **kw)), markov_step])
     def test_policy_is_not_a_parameter(self, call):
-        with pytest.raises(TypeError):
-            call("asm", BipartiteShape(2, 2), 3, 0, policy="lifo")
+        args = (("ssm", cfg("0,0;0,0"), Vertex("top", 1), ToppleOracle(1)) if call is markov_step
+                else ("asm", BipartiteShape(2, 2), 3, 0))
+        with pytest.raises(TypeError, match="policy"):
+            call(*args, policy="lifo")
 
 
 class TestTrajectoryChecksAtTheCall:

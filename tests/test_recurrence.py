@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import numpy  # noqa: F401  (loaded, so checks from _NP_MIN on take the numpy path)
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -276,6 +277,7 @@ class TestLargeInstances:
             assert is_stochastically_recurrent(c) == sr
             dr = all(bs[j] >= ks[j] for j in range(n))
             assert is_deterministically_recurrent(c) == dr
+            assert c._rowwise is not None  # the numpy path ran
 
     def test_large_maximal_recurrent(self):
         m = n = 5000
@@ -336,7 +338,9 @@ class TestOneSizeSwitch:
                         sr = all(sum(bs[: j + 1]) >= sum(ks[: j + 1]) for j in range(n))
                         dr = all(b >= k for b, k in zip(bs, ks))
                         assert (is_stochastically_recurrent(c), is_deterministically_recurrent(c)) == (sr, dr)
-                        seen.add((total >= _NP_MIN, sr, dr))
+                        numpy_ran = c._rowwise is not None
+                        assert numpy_ran == (total >= _NP_MIN)
+                        seen.add((numpy_ran, sr, dr))
         assert len(seen) == 6
 
     @settings(max_examples=20, deadline=None)
@@ -381,12 +385,14 @@ class TestOneDominanceKernel:
                 expected = _dominates(ks, sorted(bottom), rowwise)
                 assert check(c) == expected
                 assert verdict is None or expected == verdict
+            assert c._rowwise is not None  # the numpy path ran
 
     @pytest.mark.parametrize("n", [_NP_MIN, _NP_MIN + 5])
     def test_numpy_path_without_top_vertices(self, n):
         c = Configuration.from_vectors((), (0,) * n)
         assert is_stochastically_recurrent(c)
         assert is_deterministically_recurrent(c)
+        assert c._rowwise is not None  # the numpy path ran
 
 
 def _large_inputs():
@@ -420,6 +426,7 @@ class TestVerdictMemo:
             assert (expected["asm"], expected["ssm"]) == want
             c = Configuration.from_vectors(top, bottom)
             assert is_recurrent(c, first) == expected[first]
+            assert c._rowwise is not None  # the numpy path ran
             assert is_recurrent(c, second) == expected[second]
             assert is_recurrent(c, first) == expected[first]
 
@@ -428,6 +435,7 @@ class TestVerdictMemo:
         checked = Configuration.from_vectors(top, bottom)
         unchecked = Configuration.from_vectors(top, bottom)
         assert is_recurrent(checked, "ssm")
+        assert checked._rowwise is not None and unchecked._rowwise is None
         assert checked == unchecked and unchecked == checked
         assert hash(checked) == hash(unchecked)
         assert repr(checked) == repr(unchecked)
@@ -547,9 +555,14 @@ def _fresh(code):
     return done.stdout
 
 
+# a 2*10^4-vertex recurrent text, the size of the benchmark's CLI check
+_LARGE_TEXT = ",".join(["19990"] * 9) + ";" + ",".join(["9"] * 19991)
+
+
 class TestNumpyLoadedLazily:
-    """numpy is imported by the first check with m+n >= _NP_MIN, or the first
-    ssm stabilization whose first round reaches _ROUND_IMPORT, not before."""
+    """numpy is imported by the first check with m+n >= _NP_IMPORT, or the
+    first ssm stabilization whose first round reaches _ROUND_IMPORT, not
+    before."""
 
     def test_import_leaves_numpy_unloaded(self):
         assert _fresh("import sys, bipsand, bipsand.cli; print('numpy' in sys.modules)") == "False\n"
@@ -565,6 +578,8 @@ class TestNumpyLoadedLazily:
         ["census", "--m", "3", "--n", "3", "--model", "ssm"],
         # a first round of 100 firings: rounds would not repay loading numpy
         ["stabilize", "600,0,0,0,0,0;0,0,0,0,0,0", "--model", "ssm", "--seed", "5"],
+        # above _NP_MIN: the check takes a few ms, importing numpy about 0.15 s
+        ["check", _LARGE_TEXT, "--model", "asm"],
     ])
     def test_small_commands_leave_numpy_unloaded(self, argv):
         code = (
@@ -577,16 +592,18 @@ class TestNumpyLoadedLazily:
         assert _fresh(code) == "0 False\n"
 
     def test_first_large_check_loads_numpy(self):
+        # checks of _NP_IMPORT - 1 and _NP_IMPORT entries: only the second
+        # loads numpy, and only it records the verdicts
         code = (
             "import sys\n"
             "from bipsand import BipartiteShape, Configuration, is_recurrent\n"
-            "from bipsand.recurrence import _NP_MIN\n"
-            "m = _NP_MIN // 2; n = _NP_MIN - m\n"
-            "c = Configuration(BipartiteShape(m, n), (n - 1,) * m, (m,) * n)\n"
-            "before = 'numpy' in sys.modules\n"
-            "print(before, is_recurrent(c, 'asm'), 'numpy' in sys.modules)"
+            "from bipsand.recurrence import _NP_IMPORT\n"
+            "for total in (_NP_IMPORT - 1, _NP_IMPORT):\n"
+            "    m = total // 2; n = total - m\n"
+            "    c = Configuration(BipartiteShape(m, n), (n - 1,) * m, (m,) * n)\n"
+            "    print(is_recurrent(c, 'asm'), c._rowwise is not None, 'numpy' in sys.modules)"
         )
-        assert _fresh(code) == "False True True\n"
+        assert _fresh(code) == "True False False\nTrue True True\n"
 
     def test_first_large_pile_loads_numpy(self):
         # K2,2 piles with first rounds of _ROUND_IMPORT - 1 and _ROUND_IMPORT
