@@ -615,14 +615,15 @@ class TestOneEngine:
         monkeypatch.setattr(bipsand.model, "prf64", refuse)
         monkeypatch.setattr(bipsand.model, "bits_below", refuse)
 
-    def test_asm_never_draws_bits(self, no_bits):
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "min-index"])
+    def test_asm_never_draws_bits(self, no_bits, policy):
         rng = random.Random(23)
         for _ in range(50):
             m, n = rng.randint(0, 4), rng.randint(1, 4)
             top = tuple(rng.randint(0, 3 * n) for _ in range(m))
             bottom = tuple(rng.randint(0, 3 * m + 3) for _ in range(n))
             want = oracles.naive_stabilize_asm(top, bottom)
-            got, (ft, fb) = stabilize_deterministic(Configuration.from_vectors(top, bottom))
+            got, (ft, fb) = stabilize_deterministic(Configuration.from_vectors(top, bottom), policy)
             assert (got.top, got.bottom, ft, fb) == want
         state = Configuration.zero(BipartiteShape(3, 4))
         for k in range(60):
@@ -741,10 +742,12 @@ class TestScalarArguments:
 
 class TestChainHasNoPolicy:
     """Committed bits make each stabilization order-free, so the chain has no
-    policy: simulate equals a hand-written markov_step chain."""
+    policy: simulate equals a hand-written chain whose steps stabilize under
+    any policy name the stabilizers accept, and each step equals markov_step's."""
 
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "min-index"])
     @pytest.mark.parametrize("model", ["asm", "ssm"])
-    def test_simulate_matches_markov_steps(self, model):
+    def test_simulate_matches_every_policy(self, model, policy):
         steps = 150
         for k in (2, 3):
             shape = BipartiteShape(k, k)
@@ -754,8 +757,14 @@ class TestChainHasNoPolicy:
                 for t in range(1, steps + 1):
                     r = prf64(seed, DOMAIN_CHOICE, t) % (2 * k)
                     v = Vertex("top", r + 1) if r < k else Vertex("bottom", r - k + 1)
-                    oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t)) if model == "ssm" else None
-                    state = markov_step(model, state, v, oracle)
+                    if model == "asm":
+                        oracle = None
+                        step, _ = stabilize_deterministic(add_grain(state, v), policy)
+                    else:
+                        oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t))
+                        step, _ = stabilize_stochastic(add_grain(state, v), oracle, policy)
+                    assert markov_step(model, state, v, oracle) == step
+                    state = step
                     visits[state] += 1
                 assert simulate(model, shape, steps, seed) == visits
 

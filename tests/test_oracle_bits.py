@@ -90,11 +90,12 @@ class TestCustomOracles:
         assert counting.draws[0] == 45416
         assert got == stabilize_stochastic(c, ToppleOracle(1, 0.5))
 
-    def test_duck_typed_oracle(self):
+    @pytest.mark.parametrize("policy", ["fifo", "lifo", "min-index"])
+    def test_duck_typed_oracle(self, policy):
         top, bottom = (40, 3, 0), (0, 25, 1, 7)
         want = oracles.naive_stabilize_ssm(top, bottom, ToppleOracle(9, 0.3).bit)
         got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom),
-                                             DuckOracle(9, 0.3))
+                                             DuckOracle(9, 0.3), policy)
         assert (got.top, got.bottom, ft, fb) == want
 
     def test_duck_typed_stall_reports(self):
