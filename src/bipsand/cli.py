@@ -5,34 +5,27 @@ ran fine but the configuration is not recurrent, or a stochastic run
 stalled (TopplingStallError), 2 malformed input or arguments, 3 a size
 guard refused the computation.  Diagnostics go to standard error; results
 to standard output.
+
+Each handler imports what it runs, so a process loads only the modules its
+command needs; json is imported only where JSON is parsed or printed.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .enumeration import CSV_HEADER, census, enumerate_recurrent, enumerate_stable
 from .errors import GuardError, TopplingStallError
-from .ferrers import FerrersPair, build_dag, config_to_pair, dag_to_dot, pair_to_config
-from .model import (
-    MODELS,
-    BipartiteShape,
-    Configuration,
-    ToppleOracle,
-    simulate,
-    stabilize_deterministic,
-    stabilize_stochastic,
-)
-from .motzkin import MotzkinWord, config_to_motzkin, motzkin_to_config
-from .polyomino import ParallelogramPolyomino, config_to_polyomino, polyomino_to_config
-from .recurrence import is_recurrent, level
+from .model import MODELS
 
 _FAMILIES = ("ferrers", "polyomino", "motzkin")
 
 
-def _parse_config(text: str) -> Configuration:
+def _parse_config(text: str):
+    from .model import Configuration
+
     if text.lstrip().startswith("{"):
+        import json
+
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -42,6 +35,8 @@ def _parse_config(text: str) -> Configuration:
 
 
 def _emit_json(obj) -> None:
+    import json
+
     print(json.dumps(obj, sort_keys=True))
 
 
@@ -54,6 +49,8 @@ def _emit(args, obj, text) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .recurrence import is_recurrent, level
+
     c = _parse_config(args.config)
     verdict = is_recurrent(c, args.model)
     lvl = level(c)
@@ -75,6 +72,8 @@ def _budget(args) -> dict:
 
 
 def _cmd_stabilize(args) -> int:
+    from .model import ToppleOracle, stabilize_deterministic, stabilize_stochastic
+
     c = _parse_config(args.config)
     budget = _budget(args)
     if args.model == "asm":
@@ -88,6 +87,8 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .model import BipartiteShape, simulate
+
     budget = _budget(args)
     shape = BipartiteShape(args.m, args.n)
     visits = simulate(args.model, shape, args.steps, args.seed, args.p, **budget)
@@ -98,6 +99,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_level(args) -> int:
+    from .recurrence import level
+
     lvl = level(_parse_config(args.config))
     _emit(args, {"level": lvl}, lvl)
     return 0
@@ -113,28 +116,43 @@ def _cmd_biject(args) -> int:
     if args.to:
         c = _parse_config(args.payload)
         if args.to == "ferrers":
+            from .ferrers import config_to_pair
+
             pair = config_to_pair(_require_model(args, "for ferrers pairs"), c)
             obj = {"first": pair.first.to_text(), "second": pair.second.to_text()}
             _emit(args, obj, pair.to_text())
         elif args.to == "polyomino":
+            from .polyomino import config_to_polyomino
+
             poly = config_to_polyomino(c)
             _emit(args, {"upper": poly.upper, "lower": poly.lower}, poly.to_text())
         else:
+            from .motzkin import config_to_motzkin
+
             word = config_to_motzkin(c)
             _emit(args, {"word": word.to_text()}, word.to_text())
         return 0
     if args.from_ == "ferrers":
+        from .ferrers import FerrersPair, pair_to_config
+
         pair = FerrersPair.from_text(args.payload)
         c = pair_to_config(_require_model(args, "for ferrers pairs"), pair)
     elif args.from_ == "polyomino":
+        from .polyomino import ParallelogramPolyomino, polyomino_to_config
+
         c = polyomino_to_config(ParallelogramPolyomino.from_text(args.payload))
     else:
+        from .motzkin import MotzkinWord, motzkin_to_config
+
         c = motzkin_to_config(MotzkinWord.from_text(args.payload))
     _emit(args, c.to_json_dict(), c.to_text())
     return 0
 
 
 def _cmd_dag(args) -> int:
+    from .ferrers import build_dag, dag_to_dot
+    from .model import BipartiteShape
+
     dag = build_dag(args.model, BipartiteShape(args.m, args.n))
     summary = {"model": dag.model, "vertices": len(dag.vertices), "edges": len(dag.edges)}
     text = f"vertices: {summary['vertices']}\nedges: {summary['edges']}"
@@ -151,7 +169,11 @@ def _cmd_dag(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import enumerate_recurrent, enumerate_stable
+    from .model import BipartiteShape
+
     shape = BipartiteShape(args.m, args.n)
+    # both check their guard here, at the call, so a refusal prints nothing
     if args.recurrent:
         model = _require_model(args, "with --recurrent")
         stream = enumerate_recurrent(shape, model, args.sorted)
@@ -160,6 +182,8 @@ def _cmd_enumerate(args) -> int:
     # one item at a time: a listing may run to 10^8 lines.  The JSON bytes
     # equal _emit_json({"configurations": [...]}) of the whole list.
     if args.format == "json":
+        import json
+
         print('{"configurations": [', end="")
         for i, c in enumerate(stream):
             print(", " if i else "", json.dumps(c.to_json_dict(), sort_keys=True), sep="", end="")
@@ -171,6 +195,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from .enumeration import CSV_HEADER, census
+    from .model import BipartiteShape
+
     row = census(BipartiteShape(args.m, args.n), args.model, args.sorted)
     obj = {
         "m": row.m, "n": row.n, "model": row.model,

@@ -8,11 +8,16 @@ is an independent count of deterministic-model recurrent states.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
-from typing import Iterator
 
+# Loads the bijection modules, which this module does not use: motzkin imports
+# polyomino and ferrers.  bench/tracing.py's Tracer.install() imports only
+# enumeration, model and recurrence before it looks up every module it traces
+# in sys.modules.  Of the commands, only census and enumerate pay for this.
+from . import motzkin  # noqa: F401
 from .errors import GuardError
 from .model import BipartiteShape, Configuration, _check_int, _check_model, trajectory
 from .recurrence import is_recurrent
@@ -33,7 +38,8 @@ def enumerate_stable(
     """Yield every stable configuration exactly once, in lexicographic order.
 
     With sorted_only, only weakly increasing representatives appear.  The
-    stream size is computed up front and must not exceed limit.
+    stream size is computed at the call, which raises GuardError when it
+    exceeds limit, before the first configuration is drawn.
     """
     m, n = shape.m, shape.n
     count = _stable_count(shape, sorted_only)
@@ -47,9 +53,7 @@ def enumerate_stable(
     else:
         tops = product(range(n), repeat=m)
         bottoms = list(product(range(m + 1), repeat=n))
-    for top in tops:
-        for bottom in bottoms:
-            yield Configuration._trusted(shape, top, bottom)
+    return (Configuration._trusted(shape, top, bottom) for top in tops for bottom in bottoms)
 
 
 def enumerate_recurrent(
@@ -58,10 +62,10 @@ def enumerate_recurrent(
     sorted_only: bool = False,
     limit: int = 10**8,
 ) -> Iterator[Configuration]:
-    """The recurrent members of enumerate_stable, same order and guard."""
-    for c in enumerate_stable(shape, sorted_only, limit):
-        if is_recurrent(c, model):
-            yield c
+    """The recurrent members of enumerate_stable, same order and guard; the
+    model and the guard are checked at the call."""
+    _check_model(model)
+    return (c for c in enumerate_stable(shape, sorted_only, limit) if is_recurrent(c, model))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ whose blue edges are shifts and red edges are adds.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Optional
 
 from .errors import GuardError
 from .model import BipartiteShape, Configuration, _check_int, _check_model

@@ -25,11 +25,11 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import index
-from typing import Iterator
 
 from ._prf import (
     DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, below_array, bits_below, fold, fold_array, prf64,

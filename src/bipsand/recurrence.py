@@ -18,9 +18,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import accumulate
 from operator import ge
-from typing import Optional, Sequence
 
 from .model import BipartiteShape, Configuration, _check_model
 
@@ -157,7 +157,7 @@ class ForbiddenWitness:
     bottom_indices: tuple
 
 
-def forbidden_witness_ssm(c: Configuration) -> Optional[ForbiddenWitness]:
+def forbidden_witness_ssm(c: Configuration) -> ForbiddenWitness | None:
     """First vertex-subset pair violating the stochastic grain inequality.
 
     Scans pairs in lexicographic order of (|B|, B, A) over nonempty
@@ -197,7 +197,7 @@ def forbidden_witness_ssm(c: Configuration) -> Optional[ForbiddenWitness]:
     return None
 
 
-def forbidden_witness_asm(c: Configuration) -> Optional[ForbiddenWitness]:
+def forbidden_witness_asm(c: Configuration) -> ForbiddenWitness | None:
     """First vertex-subset pair whose induced subgraph is stable.
 
     A pair (A, B) of nonempty subsets qualifies when every top entry in A

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bipsand import Configuration, TopplingStallError, cli
+from bipsand import Configuration, TopplingStallError, enumeration, model
 from bipsand.cli import main
 
 
@@ -217,6 +217,16 @@ class TestEnumerate:
         # matches the polyomino count for the 3 x 2 bounding box
         assert len(out.splitlines()) == 6
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("stream", [[], ["--recurrent", "--model", "ssm"]],
+                             ids=["stable", "recurrent"])
+    def test_refusal_prints_nothing(self, capsys, stream, fmt):
+        # 12^12 * 13^12 stable configurations: the guard refuses before any output
+        code, out, err = run(capsys, "enumerate", "--m", "12", "--n", "12", *stream,
+                             "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: enumeration of ")
+
 
 class TestCensus:
     def test_csv(self, capsys):
@@ -339,7 +349,7 @@ def test_enumerate_json_streams(monkeypatch):
         written_before_second.append(out.getvalue())
         yield c
 
-    monkeypatch.setattr(cli, "enumerate_stable", stream)
+    monkeypatch.setattr(enumeration, "enumerate_stable", stream)
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["enumerate", "--m", "1", "--n", "1", "--format", "json"]) == 0
     item = c.to_json_dict()
@@ -351,7 +361,7 @@ def test_stall_exits_one(capsys, monkeypatch):
     def stall(c, oracle):
         raise TopplingStallError("no stable state")
 
-    monkeypatch.setattr(cli, "stabilize_stochastic", stall)
+    monkeypatch.setattr(model, "stabilize_stochastic", stall)
     code, out, err = run(capsys, "stabilize", "2,1;0,2", "--model", "ssm")
     assert (code, out, err) == (1, "", "error: no stable state\n")
 

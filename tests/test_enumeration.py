@@ -56,6 +56,11 @@ class TestEnumerateStable:
         with pytest.raises(GuardError):
             list(enumerate_stable(BipartiteShape(2, 2), limit=10))
 
+    def test_guard_raises_at_the_call(self):
+        # before the first item is drawn, so a caller has printed nothing yet
+        with pytest.raises(GuardError, match="exceeds the limit"):
+            enumerate_stable(BipartiteShape(12, 12))
+
 
 class TestEnumerateRecurrent:
     def test_filters_by_model(self):
@@ -78,6 +83,12 @@ class TestEnumerateRecurrent:
         dr = set(enumerate_recurrent(shape, "asm"))
         sr = set(enumerate_recurrent(shape, "ssm"))
         assert dr <= sr
+
+    def test_guard_and_model_checked_at_the_call(self):
+        with pytest.raises(GuardError, match="exceeds the limit"):
+            enumerate_recurrent(BipartiteShape(12, 12), "asm")
+        with pytest.raises(ValueError, match="model must be one of"):
+            enumerate_recurrent(BipartiteShape(1, 1), "abelian")
 
 
 class TestCensus:

@@ -1,0 +1,95 @@
+"""What each import and each command loads: names bind on first use."""
+import pytest
+
+from test_recurrence import _fresh
+
+# modules that no check, level, stabilize or simulate command needs
+_UNUSED = ("bipsand.enumeration", "bipsand.ferrers", "bipsand.motzkin", "bipsand.polyomino")
+
+
+def _loaded_after_main(argv, modules):
+    """Which of `modules` are loaded after main(argv) in a fresh process."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from bipsand.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = main({argv!r})\n"
+        f"print(rc, [m for m in {modules!r} if m in sys.modules])"
+    )
+    return _fresh(code)
+
+
+def test_import_loads_no_submodule():
+    code = "import sys, bipsand; print([m for m in sys.modules if m.startswith('bipsand.')])"
+    assert _fresh(code) == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "3,1,3,2,3;2,0,4,3", "--model", "ssm"],
+    ["check", '{"top": [0, 2, 2], "bottom": [2, 2, 3]}', "--model", "asm", "--format", "json"],
+    ["level", "3,1,3,2,3;2,0,4,3"],
+    ["stabilize", "2,1;0,2", "--model", "ssm", "--seed", "5"],
+    ["stabilize", "2,1;0,2", "--model", "asm", "--format", "json"],
+    ["simulate", "--model", "asm", "--m", "2", "--n", "2", "--steps", "20"],
+    ["simulate", "--model", "ssm", "--m", "2", "--n", "2", "--steps", "20"],
+], ids=["check", "check-json", "level", "stabilize-ssm", "stabilize-asm", "simulate-asm",
+        "simulate-ssm"])
+def test_commands_leave_the_combinatorial_modules_unloaded(argv):
+    assert _loaded_after_main(argv, _UNUSED) == "0 []\n"
+
+
+def test_biject_loads_only_its_family():
+    argv = ["biject", "--to", "ferrers", "0,2,2;2,2,2", "--model", "ssm"]
+    modules = ("bipsand.ferrers", "bipsand.motzkin", "bipsand.polyomino")
+    assert _loaded_after_main(argv, modules) == "0 ['bipsand.ferrers']\n"
+
+
+def test_every_public_name_is_its_submodules_object():
+    # the object itself, bound on the package, from the module that defines it
+    code = (
+        "import sys, bipsand\n"
+        "bad = []\n"
+        "for name in bipsand.__all__:\n"
+        "    value = getattr(bipsand, name)\n"
+        "    home = 'bipsand.' + bipsand._SOURCE[name]\n"
+        "    if (value is not getattr(sys.modules[home], name) or vars(bipsand)[name] is not value\n"
+        "            or getattr(value, '__module__', home) != home):\n"
+        "        bad.append(name)\n"
+        "print(len(bipsand.__all__), bipsand.__all__ == sorted(bipsand.__all__), bad)"
+    )
+    assert _fresh(code) == "59 True []\n"
+
+
+def test_star_import_dir_and_submodules():
+    code = (
+        "import bipsand\n"
+        "print(bipsand.model.prf64.__name__, bipsand.model is __import__('sys').modules['bipsand.model'])\n"
+        "ns = {}\n"
+        "exec('from bipsand import *', ns)\n"
+        "print(sorted(set(ns) - {'__builtins__'}) == bipsand.__all__)\n"
+        "print(set(bipsand.__all__) <= set(dir(bipsand)), 'recurrence' in dir(bipsand))"
+    )
+    assert _fresh(code) == "prf64 True\nTrue\nTrue True\n"
+
+
+def test_unknown_name_raises_attribute_error():
+    code = (
+        "import sys, bipsand\n"
+        "try:\n"
+        "    bipsand.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(hasattr(bipsand, 'cli'), [m for m in sys.modules if m.startswith('bipsand.')])"
+    )
+    assert _fresh(code) == "module 'bipsand' has no attribute 'no_such_name'\nFalse []\n"
+
+
+def test_enumeration_loads_the_bijection_modules():
+    # bench/tracing.py imports enumeration, model and recurrence, then looks up
+    # every module it traces in sys.modules
+    code = (
+        "import sys, bipsand.enumeration\n"
+        "print([m for m in ('bipsand.ferrers', 'bipsand.motzkin', 'bipsand.polyomino')"
+        " if m not in sys.modules])"
+    )
+    assert _fresh(code) == "[]\n"
