@@ -18,7 +18,8 @@ rounds: every unstable vertex fires as often as its grains allow, all at
 once, with the bits of the whole round drawn in one numpy batch.  Once a
 round would be small, and from the start for a small pile or any other
 oracle, it fires the vertices of one stack, drawing each firing's bits as
-it fires.
+it fires.  The grain-addition chain keeps one grain list for a whole run,
+settling each step by that stack or the odometer: bit for bit markov_step's.
 """
 from __future__ import annotations
 
@@ -316,9 +317,12 @@ def _neighbours(m: int, n: int) -> tuple:
     return tuple(range(m, m + n)), (m + n, *range(m))
 
 
-def _codes(m: int, n: int) -> list:
-    """Oracle key codes by slot, injective: sink 0, top i -> 2i, bottom j -> 2j+1."""
-    return [*range(2, 2 * m + 1, 2), *range(3, 2 * n + 2, 2), 0]
+@lru_cache(maxsize=64)
+def _keys(m: int, n: int) -> tuple:
+    """Oracle key codes by slot (sink 0, top i -> 2i, bottom j -> 2j+1), then
+    the spread last key words of a top and of a bottom firing's bits."""
+    codes = (*range(2, 2 * m + 1, 2), *range(3, 2 * n + 2, 2), 0)
+    return codes, *(tuple(spread(codes[t]) for t in nbs) for nbs in _neighbours(m, n))
 
 
 def _stock(oracle) -> bool:
@@ -333,25 +337,28 @@ def _firing_bits(oracle: ToppleOracle, m: int, n: int):
     ToppleOracle's bits are drawn together from its cached key prefix;
     any other oracle's bit method is called once per bit, in key order.
     """
-    codes = _codes(m, n)
-    top_nb, bottom_nb = _neighbours(m, n)
     if _stock(oracle):
-        prefix, threshold = oracle._prefix, oracle._threshold
-        top_words = [spread(codes[t]) for t in top_nb]
-        bottom_words = [spread(codes[t]) for t in bottom_nb]
+        return _stock_bits(oracle._prefix, oracle._threshold, m, n)
+    codes = _keys(m, n)[0]
+    top_nb, bottom_nb = _neighbours(m, n)
+    obit = oracle.bit
+    top_codes = [codes[t] for t in top_nb]
+    bottom_codes = [codes[t] for t in bottom_nb]
 
-        def draw(s, firing):
-            return bits_below(prefix, codes[s], firing,
-                              top_words if s < m else bottom_words, threshold)
+    def draw(s, firing):
+        v = codes[s]
+        return [obit(v, firing, u) for u in (top_codes if s < m else bottom_codes)]
 
-    else:
-        obit = oracle.bit
-        top_codes = [codes[t] for t in top_nb]
-        bottom_codes = [codes[t] for t in bottom_nb]
+    return draw
 
-        def draw(s, firing):
-            v = codes[s]
-            return [obit(v, firing, u) for u in (top_codes if s < m else bottom_codes)]
+
+def _stock_bits(prefix: int, threshold: int, m: int, n: int):
+    """draw(s, firing) of a stock ToppleOracle with this _prefix and _threshold."""
+    codes, top_words, bottom_words = _keys(m, n)
+
+    def draw(s, firing):
+        return bits_below(prefix, codes[s], firing,
+                          top_words if s < m else bottom_words, threshold)
 
     return draw
 
@@ -437,11 +444,11 @@ def _unstable(grains: list, m: int, n: int) -> list:
     return [s for s in range(m + n) if grains[s] >= (n if s < m else m + 1)]
 
 
-def _stall(grains: list, m: int, n: int, oracle, max_firings: int) -> TopplingStallError:
-    """The error for a run that needs more than max_firings firings."""
+def _stall(grains: list, m: int, n: int, p, max_firings: int) -> TopplingStallError:
+    """The error for a run at bit probability p past max_firings firings."""
     return TopplingStallError(
         f"no stable state after {max_firings} firings on "
-        f"K0_{{{m},{n}}} (p={getattr(oracle, 'p', '?')}); "
+        f"K0_{{{m},{n}}} (p={p}); "
         f"{len(_unstable(grains, m, n))} vertices still unstable"
     )
 
@@ -470,16 +477,14 @@ def _rounds(grains: list, fires: list, m: int, n: int, oracle: ToppleOracle,
     bits, a round fires only its first firings in slot order.
     """
     degb = m + 1
-    codes = _codes(m, n)
+    codes, top_words, bottom_words = _keys(m, n)
     prefix, threshold = oracle._prefix, oracle._threshold
     # at p = 1 every bit is 1, and the threshold 2^64 fits no uint64
     threshold = None if threshold >> 64 else np.uint64(threshold)
     pa = np.array([fold(prefix, code) for code in codes[:-1]], np.uint64)
     # one firing's receivers and folded last key words, top side then bottom
-    top_nb, bottom_nb = _neighbours(m, n)
-    top_words, bottom_words = (np.array([spread(codes[t]) for t in nbs], np.uint64)
-                               for nbs in (top_nb, bottom_nb))
-    top_nb, bottom_nb = np.array(top_nb), np.array(bottom_nb)
+    top_words, bottom_words = np.array(top_words, np.uint64), np.array(bottom_words, np.uint64)
+    top_nb, bottom_nb = (np.array(nbs) for nbs in _neighbours(m, n))
     deg = np.array([n] * m + [degb] * n)
     cap = max(1, _ROUND_BITS // max(n, degb))
     g = np.array(grains, np.int64)  # the sink's entry collects, and is dropped
@@ -493,7 +498,7 @@ def _rounds(grains: list, fires: list, m: int, n: int, oracle: ToppleOracle,
                 break
             if total > left:
                 grains[:-1] = g[:-1].tolist()
-                raise _stall(grains, m, n, oracle, max_firings)
+                raise _stall(grains, m, n, oracle.p, max_firings)
             if total > cap:
                 k = np.diff(np.minimum(np.cumsum(k), cap), prepend=0)
                 total = cap
@@ -536,8 +541,8 @@ def stabilize_stochastic(
     grains allow, all at once, its bits drawn in one numpy batch (see
     _rounds).  Once a round would fire fewer than _ROUND_MIN times, or from
     the start for a small pile or any other oracle, one stack holds the
-    unstable vertices, fired one at a time.  To avoid hanging on
-    adversarial oracles, more than max_firings total firings raises
+    unstable vertices, fired one at a time (see _settle).  To avoid hanging
+    on adversarial oracles, more than max_firings total firings raises
     TopplingStallError; max_firings must be an int >= 0 (ValueError
     otherwise, before any bit is drawn).  Termination is almost sure for
     any p > 0.
@@ -546,9 +551,7 @@ def stabilize_stochastic(
     _check_policy(policy)
     m, n = c.shape.m, c.shape.n
     degb = m + 1
-    # the sink starts above n, so no grain takes it to exactly n: never pushed
-    grains = [*c.top, *c.bottom, n + 1]
-    # a vertex is pushed when it turns unstable, so it is never on the stack twice
+    grains = [*c.top, *c.bottom, n + 1]  # the sink's entry above n (see _settle)
     stack = _unstable(grains, m, n)
     if not stack:
         return c, ((0,) * m, (0,) * n)
@@ -556,14 +559,25 @@ def stabilize_stochastic(
     # the firings a first round would take are all part of the odometer
     first = sum(grains[s] // (n if s < m else degb) for s in stack)
     if first > max_firings:
-        raise _stall(grains, m, n, oracle, max_firings)
+        raise _stall(grains, m, n, getattr(oracle, "p", "?"), max_firings)
     left = max_firings
     # int64 holds every count in a round when it holds the sum of them all
     if (first >= _ROUND_MIN and _stock(oracle) and _round_numpy(first) is not None
             and sum(grains) < 1 << 63):
         left = _rounds(grains, fires, m, n, oracle, max_firings)
         stack = _unstable(grains, m, n)
-    draw = _firing_bits(oracle, m, n)
+    if not _settle(grains, fires, stack, m, n, _firing_bits(oracle, m, n), left):
+        raise _stall(grains, m, n, getattr(oracle, "p", "?"), max_firings)
+    stable = Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
+    return stable, (tuple(fires[:m]), tuple(fires[m:]))
+
+
+def _settle(grains: list, fires: list, stack: list, m: int, n: int, draw, left: int) -> bool:
+    """Fire stack's slots one firing at a time, from fires' indices with draw's
+    bits, until all are stable (True) or left firings are spent (False).  A
+    slot is pushed when an arrival makes it unstable, so never twice; the
+    sink's entry grains[m + n] stays above n, so no arrival pushes it."""
+    degb = m + 1
     top_nb, bottom_nb = _neighbours(m, n)
     while stack:
         s = stack.pop()
@@ -584,9 +598,8 @@ def stabilize_stochastic(
             g -= len(got)
         grains[s], fires[s] = g, firing
         if g >= deg:
-            raise _stall(grains, m, n, oracle, max_firings)
-    stable = Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
-    return stable, (tuple(fires[:m]), tuple(fires[m:]))
+            return False
+    return True
 
 
 def add_grain(c: Configuration, v: Vertex) -> Configuration:
@@ -628,6 +641,19 @@ def markov_step(
     return stabilize_stochastic(bumped, oracle, max_firings=max_firings)[0]
 
 
+def _check_chain(model: str, shape, steps: int, seed: int, p, max_firings: int) -> int | None:
+    """Check the arguments of trajectory and simulate, before any step; return
+    the bit threshold of p for ssm, None for asm."""
+    _check_model(model)
+    if type(shape) is not BipartiteShape:
+        raise ValueError(f"shape must be a BipartiteShape, got {shape!r}")
+    _check_int("steps", steps, 0)
+    _check_int("seed", seed)
+    threshold = _bit_threshold(p) if model == "ssm" else None
+    _check_int("max_firings", max_firings, 0)
+    return threshold
+
+
 def trajectory(
     model: str,
     shape: BipartiteShape,
@@ -641,34 +667,48 @@ def trajectory(
     The grain-landing vertex at each step is drawn from the seed via a key
     domain disjoint from the oracle bits, and each ssm step stabilizes with
     a fresh child oracle derived from (seed, step), so the whole run is a
-    pure function of the arguments.  max_firings bounds each ssm step's
+    pure function of the arguments: bit for bit the states of chaining
+    markov_step, on one grain list.  max_firings bounds each ssm step's
     stabilization, which raises TopplingStallError past it.  The arguments
     are checked at the call, before the first state is drawn.
     """
-    _check_model(model)
-    _check_int("steps", steps, 0)
-    _check_int("seed", seed)
-    if model == "ssm":
-        _bit_threshold(p)
-    _check_int("max_firings", max_firings, 0)
-    return _chain(model, shape, steps, seed, p, max_firings)
+    threshold = _check_chain(model, shape, steps, seed, p, max_firings)
+    return (Configuration._trusted(shape, *g)
+            for g in _chain(shape, steps, seed, p, threshold, max_firings))
 
 
-def _chain(
-    model: str, shape: BipartiteShape, steps: int, seed: int, p: float, max_firings: int
-) -> Iterator[Configuration]:
-    """trajectory's generator, on arguments it has checked."""
+def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | None,
+           max_firings: int) -> Iterator[tuple]:
+    """trajectory's states as (top, bottom) grain tuples.  Step t adds
+    a grain at slot prf64(seed, DOMAIN_CHOICE, t) % (m + n), then topples by
+    the odometer (asm, threshold None) or with the bits of
+    ToppleOracle(prf64(seed, DOMAIN_STEP, t), p), whose threshold is given.
+    prf64 is a left fold, so both keys extend a prefix folded once a run."""
     m, n = shape.m, shape.n
-    state = Configuration.zero(shape)
-    yield state
+    size = m + n
+    grains = [0] * size + [n + 1]  # the sink's entry above n (see _settle)
+    choice, step = prf64(seed, DOMAIN_CHOICE), prf64(seed, DOMAIN_STEP)
+    top, bottom = (0,) * m, (0,) * n
+    yield top, bottom
     for t in range(1, steps + 1):
-        r = prf64(seed, DOMAIN_CHOICE, t) % (m + n)
-        v = Vertex("top", r + 1) if r < m else Vertex("bottom", r - m + 1)
-        oracle = None
-        if model == "ssm":
-            oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t), p)
-        state = markov_step(model, state, v, oracle, max_firings=max_firings)
-        yield state
+        s = fold(choice, t) % size
+        grains[s] += 1
+        # the other side keeps its tuple: states share it, as add_grain's do
+        if s < m:
+            top = tuple(grains[:m])
+        else:
+            bottom = tuple(grains[m:size])
+        if grains[s] == (n if s < m else m + 1):
+            if threshold is None:
+                c = stabilize_deterministic(Configuration._trusted(shape, top, bottom))[0]
+                top, bottom = c.top, c.bottom
+                grains[:size] = top + bottom
+            else:
+                draw = _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n)
+                if not _settle(grains, [0] * size, [s], m, n, draw, max_firings):
+                    raise _stall(grains, m, n, p, max_firings)
+                top, bottom = tuple(grains[:m]), tuple(grains[m:size])
+        yield top, bottom
 
 
 def simulate(
@@ -682,6 +722,9 @@ def simulate(
     """Run the grain-addition chain; returns visit counts over stable states.
 
     The initial all-zero state at time 0 is included, so counts sum to
-    steps + 1.  max_firings is each ssm step's firing budget.
+    steps + 1, in first-visit order; each distinct state is built once.
+    max_firings is each ssm step's firing budget.
     """
-    return Counter(trajectory(model, shape, steps, seed, p, max_firings))
+    threshold = _check_chain(model, shape, steps, seed, p, max_firings)
+    visits = Counter(_chain(shape, steps, seed, p, threshold, max_firings))
+    return Counter({Configuration._trusted(shape, *g): k for g, k in visits.items()})

@@ -1,4 +1,5 @@
 """Command surface: formats, exit codes, and error channels."""
+import hashlib
 import io
 import json
 import sys
@@ -114,6 +115,14 @@ class TestSimulate:
         )
         doc = json.loads(out)
         assert sum(v["count"] for v in doc["visits"]) == 21
+
+    def test_readme_example_is_pinned(self, capsys):
+        # seeded ssm output is a public contract: README's example prints these 17 lines
+        code, out, _ = run(capsys, "simulate", "--model", "ssm", "--m", "2", "--n", "2",
+                           "--steps", "1000", "--seed", "7")
+        assert (code, len(out.splitlines())) == (0, 17)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0dda3ce9eed89f563b672ac70d7d5632e1abe2d34340ac1985e5186e79334196")
 
 
 class TestLevel:

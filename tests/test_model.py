@@ -805,6 +805,81 @@ class TestTrajectoryChecksAtTheCall:
         # asm draws no bit, so it ignores p
         assert list(trajectory("asm", shape, 0, 0, p=p)) == [Configuration.zero(shape)]
 
+    @pytest.mark.parametrize("call", [trajectory, simulate, empirical_support],
+                             ids=["trajectory", "simulate", "empirical_support"])
+    def test_shape_that_is_not_a_bipartite_shape(self, call):
+        assert _message(lambda: call("asm", (2, 2), 3, 0)) == (
+            "shape must be a BipartiteShape, got (2, 2)")
+
+
+def _markov_chain(model, shape, steps, seed, p=0.5, max_firings=10**9):
+    """The grain-addition chain from public calls: one markov_step per step."""
+    m = shape.m
+    state = Configuration.zero(shape)
+    yield state
+    for t in range(1, steps + 1):
+        r = prf64(seed, DOMAIN_CHOICE, t) % (m + shape.n)
+        v = Vertex("top", r + 1) if r < m else Vertex("bottom", r - m + 1)
+        oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t), p) if model == "ssm" else None
+        state = markov_step(model, state, v, oracle, max_firings=max_firings)
+        yield state
+
+
+def _until_stall(states):
+    """The states before a TopplingStallError, and its message."""
+    seen = []
+    with pytest.raises(TopplingStallError) as exc:
+        for state in states:
+            seen.append(state)
+    return seen, str(exc.value)
+
+
+class TestChainIsTheMarkovStepChain:
+    """trajectory and simulate run on one grain list, and give bit for bit
+    the states, the visit counts and the first-visit order of chaining
+    markov_step; seeds past 64 bits check the prefixes folded once a run."""
+
+    @pytest.mark.parametrize("seed", [-5, 0, 2**64 + 3])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 1), (2, 3), (3, 2), (4, 4)])
+    @pytest.mark.parametrize("model", ["asm", "ssm"])
+    def test_states_and_visit_order(self, model, m, n, p, seed):
+        shape = BipartiteShape(m, n)
+        want = list(_markov_chain(model, shape, 150, seed, p))
+        assert list(trajectory(model, shape, 150, seed, p)) == want
+        assert list(simulate(model, shape, 150, seed, p).items()) == list(Counter(want).items())
+
+    TINY_P = 5.421010862427522e-20  # just above 2^-64: no grain moves in practice
+
+    @pytest.mark.parametrize("budget", [0, 1, 7])
+    def test_stall_at_the_same_step(self, budget):
+        shape = BipartiteShape(2, 3)
+        for seed in (0, 1, 2):
+            want = _until_stall(_markov_chain("ssm", shape, 50, seed, self.TINY_P, budget))
+            assert _until_stall(trajectory("ssm", shape, 50, seed, self.TINY_P, budget)) == want
+            # no vertex holds 3 grains before step 3
+            assert len(want[0]) >= 3
+
+    def test_budget_of_the_busiest_step(self):
+        shape, steps, seed, p = BipartiteShape(3, 3), 200, 4, 0.5
+        firings, state = [], Configuration.zero(shape)
+        for t in range(1, steps + 1):
+            r = prf64(seed, DOMAIN_CHOICE, t) % 6
+            v = Vertex("top", r + 1) if r < 3 else Vertex("bottom", r - 2)
+            oracle = ToppleOracle(prf64(seed, DOMAIN_STEP, t), p)
+            state, (ft, fb) = stabilize_stochastic(add_grain(state, v), oracle)
+            firings.append(sum(ft) + sum(fb))
+        most = max(firings)
+        full = list(trajectory("ssm", shape, steps, seed, p))
+        assert list(trajectory("ssm", shape, steps, seed, p, most)) == full
+        assert simulate("ssm", shape, steps, seed, p, most) == simulate("ssm", shape, steps, seed, p)
+        # one firing short, the chain stalls at the first step that needs them all
+        states, message = _until_stall(trajectory("ssm", shape, steps, seed, p, most - 1))
+        assert states == full[:firings.index(most) + 1]
+        assert (states, message) == _until_stall(_markov_chain("ssm", shape, steps, seed, p,
+                                                               most - 1))
+        assert message.startswith(f"no stable state after {most - 1} firings on K0_{{3,3}}")
+
 
 class TestChainFiringBudget:
     """max_firings bounds each ssm step of the chain, as in stabilize_stochastic."""
