@@ -41,6 +41,7 @@ def enumerate_stable(
     stream size is computed at the call, which raises GuardError when it
     exceeds limit, before the first configuration is drawn.
     """
+    _check_int("limit", limit, 0)
     m, n = shape.m, shape.n
     count = _stable_count(shape, sorted_only)
     if count > limit:
@@ -154,6 +155,7 @@ def census(
     is built; GuardError names both when the bound exceeds limit.
     """
     _check_model(model)
+    _check_int("limit", limit, 0)
     m, n = shape.m, shape.n
     work = _dp_work(m, n)
     if work > limit:

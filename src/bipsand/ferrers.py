@@ -226,6 +226,9 @@ class LabelledFerrersPair:
     def __post_init__(self):
         m = self.pair.first.columns
         n = self.pair.second.n_rows
+        for name, labels in (("column label", self.column_labels), ("row label", self.row_labels)):
+            for label in labels:
+                _check_int(name, label)
         if sorted(self.column_labels) != list(range(1, m + 1)):
             raise ValueError("column labels must be a permutation of 1..m")
         if sorted(self.row_labels) != list(range(1, n + 1)):

@@ -12,14 +12,14 @@ runs are reproducible because every coin flip is a committed bit: a pure
 function of (seed, p, vertex, firing index, neighbour).  So neither rule
 has a toppling order to choose: the stable result is unique.
 
-asm stabilization solves for the firing totals directly (the least-action
-odometer).  ssm stabilization with a stock ToppleOracle first fires in
-rounds: every unstable vertex fires as often as its grains allow, all at
-once, with the bits of the whole round drawn in one numpy batch.  Once a
-round would be small, and from the start for a small pile or any other
-oracle, it fires the vertices of one stack, drawing each firing's bits as
-it fires.  The grain-addition chain keeps one grain list for a whole run,
-settling each step by that stack or the odometer: bit for bit markov_step's.
+asm stabilization solves for the firing totals directly, by one kernel
+(the least-action odometer) that the chain calls too.  ssm stabilization
+with a stock ToppleOracle first fires in numpy rounds: every unstable
+vertex fires as often as its grains allow, all at once.  Small rounds,
+small piles and other oracles fire from one stack, one firing at a time:
+the one firing loop, which single topplings of either rule also run.  The
+grain-addition chain keeps one grain list for a whole run, settling each
+step by that stack or the odometer: bit for bit markov_step's.
 """
 from __future__ import annotations
 
@@ -78,10 +78,8 @@ class BipartiteShape:
     n: int
 
     def __post_init__(self):
-        if type(self.m) is not int or type(self.n) is not int:  # bool excluded
-            raise ValueError("shape entries must be integers")
-        if self.m < 0 or self.n < 1:
-            raise ValueError(f"need m >= 0 and n >= 1, got ({self.m}, {self.n})")
+        _check_int("m", self.m, 0)
+        _check_int("n", self.n, 1)
 
     @property
     def top_degree(self) -> int:
@@ -118,26 +116,18 @@ def _grain(x) -> int:
     raise ValueError(f"grain counts must be integers, got {x!r}")
 
 
-def _nonnegative(side: tuple) -> tuple:
+def _grains(side) -> tuple:
+    """side as a tuple of ints >= 0, in one type pass and one min pass;
+    ValueError if it is not iterable or holds anything else."""
+    try:
+        side = tuple(side)
+    except TypeError:
+        raise ValueError(f"grain counts must be an iterable of integers, got {side!r}") from None
+    if not set(map(type, side)) <= {int}:
+        side = tuple(map(_grain, side))
     if side and min(side) < 0:
         raise ValueError("grain counts must be non-negative")
     return side
-
-
-def _tuple(side) -> tuple:
-    """side as a tuple; ValueError if it is not iterable."""
-    try:
-        return tuple(side)
-    except TypeError:
-        raise ValueError(f"grain counts must be an iterable of integers, got {side!r}") from None
-
-
-def _grains(side) -> tuple:
-    """side as a tuple of ints >= 0, in one type pass and one min pass."""
-    side = _tuple(side)
-    if not set(map(type, side)) <= {int}:
-        side = tuple(map(_grain, side))
-    return _nonnegative(side)
 
 
 @dataclass(frozen=True)
@@ -179,8 +169,8 @@ class Configuration:
     @classmethod
     def from_vectors(cls, top, bottom) -> "Configuration":
         """Build a configuration, inferring the shape from the vector lengths."""
-        top, bottom = _tuple(top), _tuple(bottom)
-        return cls(BipartiteShape(len(top), len(bottom)), top, bottom)
+        top, bottom = _grains(top), _grains(bottom)
+        return cls._trusted(BipartiteShape(len(top), len(bottom)), top, bottom)
 
     @classmethod
     def zero(cls, shape: BipartiteShape) -> "Configuration":
@@ -201,9 +191,7 @@ class Configuration:
             bottom = tuple(int(x) for x in bottom_s.split(","))
         except ValueError:
             raise ValueError(f"malformed configuration text {text!r}") from None
-        # int() made every entry an int; only the sign is left to check
-        shape = BipartiteShape(len(top), len(bottom))
-        return cls._trusted(shape, _nonnegative(top), _nonnegative(bottom))
+        return cls.from_vectors(top, bottom)
 
     def to_text(self) -> str:
         return "{};{}".format(
@@ -364,14 +352,12 @@ def _stock_bits(prefix: int, threshold: int, m: int, n: int):
 
 
 def _topple(c: Configuration, s: int, draw, firing: int) -> Configuration:
-    """Fire slot s once; draw is None under asm, where every bit is 1."""
+    """Fire slot s once, as its firing-th firing: _settle with a budget of one."""
     m, n = c.shape.m, c.shape.n
-    nbs = _neighbours(m, n)[s >= m]
-    got = nbs if draw is None else list(compress(nbs, draw(s, firing)))
-    grains = [*c.top, *c.bottom, 0]
-    for t in got:
-        grains[t] += 1
-    grains[s] -= len(got)
+    grains = [*c.top, *c.bottom, n + 1]  # the sink's entry above n (see _settle)
+    fires = [0] * (m + n)
+    fires[s] = firing
+    _settle(grains, fires, [s], m, n, draw, 1)
     return Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
 
 
@@ -417,8 +403,15 @@ def stabilize_deterministic(
     m, n = c.shape.m, c.shape.n
     if c.is_stable:
         return c, ((0,) * m, (0,) * n)
+    sides, fires = _odometer(c.top, c.bottom, m, n)
+    return Configuration._trusted(c.shape, *sides), fires
+
+
+def _odometer(top: tuple, bottom: tuple, m: int, n: int) -> tuple:
+    """asm's kernel: ((stable top, stable bottom), (top firings, bottom
+    firings)) of the grain sides top and bottom of K0_{m,n}, from the firing
+    totals that stabilize_deterministic's docstring describes."""
     degb = m + 1
-    top, bottom = c.top, c.bottom
     rt = sorted([t % n for t in top])
     rb = sorted([b % degb for b in bottom])
     qt, qb = (sum(top) - sum(rt)) // n, (sum(bottom) - sum(rb)) // degb
@@ -433,10 +426,8 @@ def stabilize_deterministic(
         fired_b = b_next
     top = [t + fired_b for t in top]
     bottom = [b + fired_t for b in bottom]
-    stable = Configuration._trusted(
-        c.shape, tuple([t % n for t in top]), tuple([b % degb for b in bottom])
-    )
-    return stable, (tuple([t // n for t in top]), tuple([b // degb for b in bottom]))
+    return ((tuple([t % n for t in top]), tuple([b % degb for b in bottom])),
+            (tuple([t // n for t in top]), tuple([b // degb for b in bottom])))
 
 
 def _unstable(grains: list, m: int, n: int) -> list:
@@ -574,9 +565,9 @@ def stabilize_stochastic(
 
 def _settle(grains: list, fires: list, stack: list, m: int, n: int, draw, left: int) -> bool:
     """Fire stack's slots one firing at a time, from fires' indices with draw's
-    bits, until all are stable (True) or left firings are spent (False).  A
-    slot is pushed when an arrival makes it unstable, so never twice; the
-    sink's entry grains[m + n] stays above n, so no arrival pushes it."""
+    bits (all 1 if draw is None: asm), until all are stable (True) or left
+    firings are spent (False).  A slot is pushed when an arrival makes it
+    unstable, so never twice; the sink's entry grains[m + n] stays above n."""
     degb = m + 1
     top_nb, bottom_nb = _neighbours(m, n)
     while stack:
@@ -589,7 +580,7 @@ def _settle(grains: list, fires: list, stack: list, m: int, n: int, draw, left: 
         g, firing = grains[s], fires[s]
         while g >= deg and left:
             left -= 1
-            got = list(compress(nbs, draw(s, firing)))
+            got = nbs if draw is None else list(compress(nbs, draw(s, firing)))
             firing += 1
             for t in got:
                 grains[t] += 1
@@ -700,8 +691,7 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
             bottom = tuple(grains[m:size])
         if grains[s] == (n if s < m else m + 1):
             if threshold is None:
-                c = stabilize_deterministic(Configuration._trusted(shape, top, bottom))[0]
-                top, bottom = c.top, c.bottom
+                (top, bottom), _ = _odometer(top, bottom, m, n)
                 grains[:size] = top + bottom
             else:
                 draw = _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n)

@@ -76,6 +76,34 @@ def naive_stabilize_ssm(top, bottom, bit):
                 return tuple(top), tuple(bottom), tuple(ft), tuple(fb)
 
 
+def naive_topple(top, bottom, slot, bit, firing):
+    """Fire one vertex once, as its firing-th firing, stable or not.
+
+    slot i < m is top vertex i+1 and slot m+j is bottom vertex j+1.  Each
+    neighbour gets a grain when bit(vertex_code, firing, neighbor_code) is
+    true (codes as in naive_stabilize_ssm); bit None sends every grain.
+    Returns (top, bottom); grains sent to the sink vanish.
+    """
+    m, n = len(top), len(bottom)
+    top, bottom = list(top), list(bottom)
+    if slot < m:
+        code = 2 * slot + 2
+        for j in range(1, n + 1):
+            if bit is None or bit(code, firing, 2 * j + 1):
+                bottom[j - 1] += 1
+                top[slot] -= 1
+    else:
+        j = slot - m
+        code = 2 * j + 3
+        if bit is None or bit(code, firing, 0):
+            bottom[j] -= 1
+        for i in range(1, m + 1):
+            if bit is None or bit(code, firing, 2 * i):
+                top[i - 1] += 1
+                bottom[j] -= 1
+    return tuple(top), tuple(bottom)
+
+
 # ---------------------------------------------------- forbidden witnesses
 
 def ssm_witness_exists(top, bottom):

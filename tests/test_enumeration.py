@@ -21,6 +21,23 @@ from bipsand import (
 from bipsand.enumeration import _dp_work
 
 
+@pytest.mark.parametrize("call", [
+    lambda limit: enumerate_stable(BipartiteShape(1, 1), limit=limit),
+    lambda limit: enumerate_recurrent(BipartiteShape(1, 1), "asm", limit=limit),
+    lambda limit: census(BipartiteShape(1, 1), "asm", limit=limit),
+], ids=["enumerate_stable", "enumerate_recurrent", "census"])
+@pytest.mark.parametrize("limit, want", [
+    (True, "limit must be an integer, got True"),
+    (2.5, "limit must be an integer, got 2.5"),
+    ("10", "limit must be an integer, got '10'"),
+    (-1, "limit must be >= 0"),
+])
+def test_limit_follows_the_integer_rule(call, limit, want):
+    with pytest.raises(ValueError) as exc:
+        call(limit)
+    assert type(exc.value) is ValueError and str(exc.value) == want
+
+
 class TestEnumerateStable:
     def test_tiny(self):
         got = [c.to_text() for c in enumerate_stable(BipartiteShape(1, 1))]

@@ -255,6 +255,17 @@ class TestLabelled:
         with pytest.raises(ValueError):
             labelled_pair_to_config("ssm", LabelledFerrersPair(pair, (1, 3, 2), (1, 2, 3)))
 
+    @pytest.mark.parametrize("columns, rows, want", [
+        ((1.0, 2), (1, 2), "column label must be an integer, got 1.0"),
+        ((True, 2), (1, 2), "column label must be an integer, got True"),
+        ((1, 2), (1, "2"), "row label must be an integer, got '2'"),
+    ])
+    def test_labels_are_integers(self, columns, rows, want):
+        pair = config_to_pair("ssm", cfg("1,1;1,1"))
+        with pytest.raises(ValueError) as exc:
+            LabelledFerrersPair(pair, columns, rows)
+        assert str(exc.value) == want
+
     def test_labels_accepted_exactly_when_they_reproduce(self):
         # put the sorted sides back by label; the labels must be the ones
         # config_to_labelled_pair gives that result, columns checked first

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,7 +128,8 @@ def _rejected(call):
 
 class TestGrainCountsAreIntegers:
     """Every grain count is an int >= 0 (bool excluded), checked once by the
-    constructor; numpy integers become int and anything else is refused."""
+    constructor or from_vectors; numpy integers become int and anything else
+    is refused."""
 
     def test_half_integer_bottom_is_refused(self):
         # it used to reach is_recurrent, which answered True under ssm
@@ -643,6 +645,68 @@ class TestOneEngine:
         assert stabilize_deterministic(c) == stabilize_stochastic(c, ToppleOracle(seed, 1.0))
 
 
+class _Pattern(ToppleOracle):
+    """A ToppleOracle whose bit method is overridden, so it is called per bit."""
+
+    def bit(self, vertex_code, firing, neighbor_code):
+        return int((vertex_code * 7 + firing * 5 + neighbor_code * 3 + self.seed) % 4 != 0)
+
+
+class TestOneFiringLoop:
+    """Single topplings fire through the stabilizers' loop, and the asm
+    chain runs on the odometer kernel, never on stabilize_deterministic."""
+
+    def test_single_topplings_match_the_naive_oracle(self):
+        rng = random.Random(31)
+        seen = Counter()
+        for k in range(400):
+            m, n = rng.randint(0, 4), rng.randint(1, 4)
+            top = tuple(rng.randint(0, 3 * n) for _ in range(m))
+            bottom = tuple(rng.randint(0, 3 * m + 3) for _ in range(n))
+            c = Configuration.from_vectors(top, bottom)
+            # stock bits, a subclass's own bits, and an object with only a bit method
+            oracles_ = [ToppleOracle(k, rng.choice([0.3, 0.5, 1.0])), _Pattern(k % 4),
+                        SimpleNamespace(bit=ToppleOracle(k, 0.6).bit)]
+            for s in range(m + n):
+                side, deg = ("top", n) if s < m else ("bottom", m + 1)
+                v = Vertex(side, s + 1 if s < m else s - m + 1)
+                if (top + bottom)[s] < deg:
+                    continue
+                got = topple_deterministic(c, v)
+                want = oracles.naive_topple(top, bottom, s, None, 0)
+                assert (got.top, got.bottom) == want
+                after = want[0] + want[1]
+                seen["side", side] += 1
+                seen["still unstable"] += after[s] >= deg
+                seen["pushes a neighbour"] += any(
+                    after[t] >= (n if t < m else m + 1) > (top + bottom)[t]
+                    for t in range(m + n) if t != s)
+                firing = rng.randint(0, 5)
+                for oracle in oracles_:
+                    got = topple_stochastic(c, v, oracle, firing)
+                    want = oracles.naive_topple(top, bottom, s, oracle.bit, firing)
+                    assert (got.top, got.bottom) == want
+                p1 = topple_stochastic(c, v, ToppleOracle(k, 1.0), firing)
+                assert p1 == topple_deterministic(c, v)
+        # the inputs cover both sides and every way one firing can end
+        assert min(seen.values()) > 20 and len(seen) == 4
+
+    def test_asm_chain_runs_without_stabilize_deterministic(self, monkeypatch):
+        import bipsand.model
+
+        shape = BipartiteShape(3, 2)
+        want_visits = list(simulate("asm", shape, 300, 5).items())
+        want_states = list(trajectory("asm", shape, 300, 6))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the asm chain called stabilize_deterministic")
+
+        monkeypatch.setattr(bipsand.model, "stabilize_deterministic", refuse)
+        assert list(simulate("asm", shape, 300, 5).items()) == want_visits
+        assert list(trajectory("asm", shape, 300, 6)) == want_states
+        assert want_states != [want_states[0]] * len(want_states)
+
+
 _C = Configuration.from_text("0,2,2;2,2,2")
 _FIRST, _SECOND = FerrersDiagram((1, 1, 3)), FerrersDiagram((2, 2, 2))
 
@@ -716,7 +780,12 @@ class TestScalarArguments:
 
     @pytest.mark.parametrize("m, n", [(True, 1), (1, True), (1.0, 1), (1, 2.0)])
     def test_shape_entries(self, m, n):
-        assert _message(lambda: BipartiteShape(m, n)) == "shape entries must be integers"
+        name, value = ("m", m) if type(m) is not int else ("n", n)
+        assert _message(lambda: BipartiteShape(m, n)) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("m, n, want", [(-1, 1, "m must be >= 0"), (1, 0, "n must be >= 1")])
+    def test_shape_bounds(self, m, n, want):
+        assert _message(lambda: BipartiteShape(m, n)) == want
 
     @pytest.mark.parametrize("seed", ["7", 1.5, True])
     def test_oracle_seed(self, seed):
