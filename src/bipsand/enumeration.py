@@ -19,7 +19,7 @@ from math import comb
 # in sys.modules.  Of the commands, only census and enumerate pay for this.
 from . import motzkin  # noqa: F401
 from .errors import GuardError
-from .model import BipartiteShape, Configuration, _check_int, _check_model, trajectory
+from .model import BipartiteShape, Configuration, _check_int, _check_model, _check_shape, trajectory
 from .recurrence import is_recurrent
 
 CSV_HEADER = "m,n,model,sorted,count,level_poly"
@@ -41,6 +41,7 @@ def enumerate_stable(
     stream size is computed at the call, which raises GuardError when it
     exceeds limit, before the first configuration is drawn.
     """
+    _check_shape(shape)
     _check_int("limit", limit, 0)
     m, n = shape.m, shape.n
     count = _stable_count(shape, sorted_only)
@@ -155,6 +156,7 @@ def census(
     is built; GuardError names both when the bound exceeds limit.
     """
     _check_model(model)
+    _check_shape(shape)
     _check_int("limit", limit, 0)
     m, n = shape.m, shape.n
     work = _dp_work(m, n)
@@ -206,6 +208,7 @@ def spanning_tree_count(shape: BipartiteShape) -> int:
     Equals the number of unsorted recurrent configurations of the
     deterministic model.
     """
+    _check_shape(shape)
     m, n = shape.m, shape.n
     return (m + 1) ** (n - 1) * n**m
 

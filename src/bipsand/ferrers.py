@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import GuardError
-from .model import BipartiteShape, Configuration, _check_int, _check_model
+from .model import BipartiteShape, Configuration, _check_int, _check_model, _check_shape
 from .recurrence import _dominates, counts_below, is_recurrent
 
 _DAG_MAX_CELLS = 36  # build_dag's bound on m*n: 0.02 s at 6x6 (905 diagrams)
@@ -128,6 +128,13 @@ def apply_sequence(diagram: FerrersDiagram, ops) -> FerrersDiagram:
     return diagram
 
 
+def _compatible(first: FerrersDiagram, second: FerrersDiagram, rowwise: bool) -> bool:
+    """The recurrence check's dominance test, second's rows over first's."""
+    if first.n_rows != second.n_rows:
+        raise ValueError("diagrams must have the same number of rows")
+    return _dominates(first.rows, second.rows, rowwise)
+
+
 def is_compatible(first: FerrersDiagram, second: FerrersDiagram) -> bool:
     """True iff second is reachable from first by legal shifts and adds.
 
@@ -135,16 +142,12 @@ def is_compatible(first: FerrersDiagram, second: FerrersDiagram) -> bool:
     rows, second over first; reachability in the diagram DAG agrees with
     this (exhaustively tested at small sizes) but is never searched here.
     """
-    if first.n_rows != second.n_rows:
-        raise ValueError("diagrams must have the same number of rows")
-    return _dominates(first.rows, second.rows, rowwise=False)
+    return _compatible(first, second, rowwise=False)
 
 
 def is_strongly_compatible(first: FerrersDiagram, second: FerrersDiagram) -> bool:
     """True iff second is reachable from first by legal adds alone (rowwise dominance)."""
-    if first.n_rows != second.n_rows:
-        raise ValueError("diagrams must have the same number of rows")
-    return _dominates(first.rows, second.rows, rowwise=True)
+    return _compatible(first, second, rowwise=True)
 
 
 @dataclass(frozen=True)
@@ -171,8 +174,7 @@ class FerrersPair:
 
 def _require_compatible(model: str, first: FerrersDiagram, second: FerrersDiagram) -> None:
     # asm pairs need rowwise dominance, ssm pairs prefix dominance
-    compatible = is_strongly_compatible if model == "asm" else is_compatible
-    if not compatible(first, second):
+    if not _compatible(first, second, rowwise=model == "asm"):
         raise ValueError(f"pair is not {model}-compatible")
 
 
@@ -304,6 +306,7 @@ def build_dag(model: str, shape: BipartiteShape) -> FerrersDag:
     source (0,..,0,m) and sink (m,..,m).  GuardError past _DAG_MAX_CELLS.
     """
     _check_model(model)
+    _check_shape(shape)
     m, n = shape.m, shape.n
     if m * n > _DAG_MAX_CELLS:
         raise GuardError(f"diagram DAG needs m*n <= {_DAG_MAX_CELLS}, got {m * n}")

@@ -16,10 +16,11 @@ asm stabilization solves for the firing totals directly, by one kernel
 (the least-action odometer) that the chain calls too.  ssm stabilization
 with a stock ToppleOracle first fires in numpy rounds: every unstable
 vertex fires as often as its grains allow, all at once.  Small rounds,
-small piles and other oracles fire from one stack, one firing at a time:
-the one firing loop, which single topplings of either rule also run.  The
-grain-addition chain keeps one grain list for a whole run, settling each
-step by that stack or the odometer: bit for bit markov_step's.
+piles _numpy keeps in Python and other oracles fire from one stack, one
+firing at a time: the one firing loop, which single topplings of either
+rule also run.  The grain-addition chain keeps one grain list for a whole
+run, settling each step by that stack or the odometer: bit for bit
+markov_step's.
 """
 from __future__ import annotations
 
@@ -43,18 +44,24 @@ _POLICIES = ("fifo", "lifo", "min-index")
 _MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
 
 # ssm stabilization fires in numpy rounds while a round holds at least
-# _ROUND_MIN firings, and hands the rest to the stack.  A run whose first
-# round is smaller than _ROUND_IMPORT does not load numpy for it: loading
-# costs a fresh process about 0.19 s, more than rounds save on such a pile.
+# _ROUND_MIN firings, and hands the rest to the stack.  _numpy gates the
+# first round with both: loading numpy costs a fresh process about 0.19 s,
+# more than rounds save on a pile whose first round is below _ROUND_IMPORT.
 # A round fires at most _ROUND_BITS // (largest degree) firings, so its
 # bit matrix never grows with the grain count.  CHANGES.md has the timings.
 _ROUND_MIN = 8
 _ROUND_IMPORT = 1000
 _ROUND_BITS = 1 << 16
 
-# numpy, imported by the first stabilization whose first round reaches
-# _ROUND_IMPORT, so that small runs and every other command never load it
-np = None
+
+def _numpy(work: int, pays: int, loads: int):
+    """numpy for a kernel call of this much work, or None: the one policy of
+    both numpy kernels.  From pays on, numpy runs if it is already loaded;
+    from loads on, it is imported.  Each kernel passes its own measured pair."""
+    if work >= loads:
+        import numpy
+        return numpy
+    return sys.modules.get("numpy") if work >= pays else None
 
 
 def _check_int(name: str, value, low: int | None = None) -> None:
@@ -88,6 +95,13 @@ class BipartiteShape:
     @property
     def bottom_degree(self) -> int:
         return self.m + 1
+
+
+def _check_shape(shape) -> None:
+    """Raise ValueError unless shape is a BipartiteShape: the one rule for
+    every call that takes a shape."""
+    if type(shape) is not BipartiteShape:
+        raise ValueError(f"shape must be a BipartiteShape, got {shape!r}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +162,7 @@ class Configuration:
     _rowwise = _prefixwise = None
 
     def __post_init__(self):
+        _check_shape(self.shape)
         top, bottom = _grains(self.top), _grains(self.bottom)
         if len(top) != self.shape.m or len(bottom) != self.shape.n:
             raise ValueError("grain vectors do not match the shape")
@@ -174,6 +189,7 @@ class Configuration:
 
     @classmethod
     def zero(cls, shape: BipartiteShape) -> "Configuration":
+        _check_shape(shape)
         return cls._trusted(shape, (0,) * shape.m, (0,) * shape.n)
 
     @classmethod
@@ -313,6 +329,13 @@ def _keys(m: int, n: int) -> tuple:
     return codes, *(tuple(spread(codes[t]) for t in nbs) for nbs in _neighbours(m, n))
 
 
+def _check_oracle(oracle) -> None:
+    """Raise ValueError unless oracle has a callable bit, as every oracle
+    the stochastic rule draws from must."""
+    if not callable(getattr(oracle, "bit", None)):
+        raise ValueError(f"oracle must have a callable bit method, got {oracle!r}")
+
+
 def _stock(oracle) -> bool:
     """True when oracle's bits are ToppleOracle.bit's, which may be drawn in batches."""
     return getattr(type(oracle), "bit", None) is ToppleOracle.bit
@@ -374,9 +397,11 @@ def topple_stochastic(
     For each neighbour a bit decides whether one grain moves there; the
     vertex keeps the grains whose bits are 0.  Bits are queried sink first
     (for bottom vertices), then neighbours in ascending index order.
-    firing_index, an int >= 0, keys the bits (ValueError otherwise).
+    firing_index, an int >= 0, keys the bits, and oracle must have a
+    callable bit (ValueError otherwise, at the call).
     """
     _check_int("firing_index", firing_index, 0)
+    _check_oracle(oracle)
     s = _topple_slot(c, v)
     return _topple(c, s, _firing_bits(oracle, c.shape.m, c.shape.n), firing_index)
 
@@ -444,18 +469,9 @@ def _stall(grains: list, m: int, n: int, p, max_firings: int) -> TopplingStallEr
     )
 
 
-def _round_numpy(first: int):
-    """numpy, if rounds should run for a first round of this many firings;
-    else None.  numpy is imported here only for a round of _ROUND_IMPORT."""
-    global np
-    if np is None and (first >= _ROUND_IMPORT or "numpy" in sys.modules):
-        import numpy as np
-    return np
-
-
-def _rounds(grains: list, fires: list, m: int, n: int, oracle: ToppleOracle,
+def _rounds(np, grains: list, fires: list, m: int, n: int, oracle: ToppleOracle,
             max_firings: int) -> int:
-    """Fire ssm rounds on grains and fires, in place; return the budget left.
+    """Fire ssm rounds in numpy np on grains and fires, in place; return the budget left.
 
     A round fires each slot s floor(grains[s] / deg s) times at once, with
     its next firing indices.  Each of these firings is legal: one sends
@@ -531,15 +547,17 @@ def stabilize_stochastic(
     ToppleOracle fires in rounds first: every vertex fires as often as its
     grains allow, all at once, its bits drawn in one numpy batch (see
     _rounds).  Once a round would fire fewer than _ROUND_MIN times, or from
-    the start for a small pile or any other oracle, one stack holds the
-    unstable vertices, fired one at a time (see _settle).  To avoid hanging
-    on adversarial oracles, more than max_firings total firings raises
-    TopplingStallError; max_firings must be an int >= 0 (ValueError
-    otherwise, before any bit is drawn).  Termination is almost sure for
-    any p > 0.
+    the start for a pile _numpy keeps in Python or any other oracle, one
+    stack holds the unstable vertices, fired one at a time (see _settle).
+    oracle must have a callable bit (ValueError at the call otherwise).
+    To avoid hanging on adversarial oracles, more than max_firings total
+    firings raises TopplingStallError; max_firings must be an int >= 0
+    (ValueError otherwise, before any bit is drawn).  Termination is
+    almost sure for any p > 0.
     """
     _check_int("max_firings", max_firings, 0)
     _check_policy(policy)
+    _check_oracle(oracle)
     m, n = c.shape.m, c.shape.n
     degb = m + 1
     grains = [*c.top, *c.bottom, n + 1]  # the sink's entry above n (see _settle)
@@ -552,10 +570,10 @@ def stabilize_stochastic(
     if first > max_firings:
         raise _stall(grains, m, n, getattr(oracle, "p", "?"), max_firings)
     left = max_firings
+    np = _numpy(first, _ROUND_MIN, _ROUND_IMPORT) if _stock(oracle) else None
     # int64 holds every count in a round when it holds the sum of them all
-    if (first >= _ROUND_MIN and _stock(oracle) and _round_numpy(first) is not None
-            and sum(grains) < 1 << 63):
-        left = _rounds(grains, fires, m, n, oracle, max_firings)
+    if np is not None and sum(grains) < 1 << 63:
+        left = _rounds(np, grains, fires, m, n, oracle, max_firings)
         stack = _unstable(grains, m, n)
     if not _settle(grains, fires, stack, m, n, _firing_bits(oracle, m, n), left):
         raise _stall(grains, m, n, getattr(oracle, "p", "?"), max_firings)
@@ -636,8 +654,7 @@ def _check_chain(model: str, shape, steps: int, seed: int, p, max_firings: int) 
     """Check the arguments of trajectory and simulate, before any step; return
     the bit threshold of p for ssm, None for asm."""
     _check_model(model)
-    if type(shape) is not BipartiteShape:
-        raise ValueError(f"shape must be a BipartiteShape, got {shape!r}")
+    _check_shape(shape)
     _check_int("steps", steps, 0)
     _check_int("seed", seed)
     threshold = _bit_threshold(p) if model == "ssm" else None

@@ -1,12 +1,12 @@
-"""Recurrence checks for both sandpile models, in O(m+n) time.
+"""Recurrence checks for both sandpile models, in O(m+n) time on the numpy path.
 
 A stable configuration is recurrent exactly when the sorted bottom side
 dominates the k-vector of the top side: prefixwise for the stochastic
 model, rowwise for the deterministic one.  The k-vector entry k_j counts
 the top vertices holding fewer than j grains; it is computed by a counting
-pass.  The numpy path sorts the bottom side by counting too, so both
-checks stay linear; smaller checks, and those below _NP_IMPORT while
-numpy is not loaded, use a comparison sort.  A numpy check records both
+pass.  The numpy path, where the gate model._numpy lets numpy run, sorts
+the bottom side by counting too, so both checks stay linear; the other
+checks use a comparison sort, O(m + n log n).  A numpy check records both
 models' verdicts on the configuration, so the second is a lookup.
 Ferrers compatibility (ferrers.is_compatible, is_strongly_compatible) is
 the same dominance test, run on the rows of a diagram pair.  The first
@@ -15,24 +15,22 @@ a greedy scan in polynomial time and O(m+n) memory.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import accumulate
 from operator import ge
 
-from .model import BipartiteShape, Configuration, _check_model
+from .model import BipartiteShape, Configuration, _check_model, _numpy
 
-# From _NP_MIN entries on (m+n) a loaded numpy beats pure Python, conversion
-# included; a check repays numpy's import (0.12-0.16 s in a fresh process)
-# only from _NP_IMPORT entries on.  CHANGES.md has both tables.
+# _numpy's pair for a check of m+n entries: from _NP_MIN on a loaded numpy
+# beats pure Python, conversion included; only from _NP_IMPORT on does a check
+# repay numpy's import (0.12-0.16 s in a fresh process).  CHANGES.md has both tables.
 _NP_MIN = 192
 _NP_IMPORT = 400_000
 
-# numpy, imported by the first check that reaches _NP_IMPORT, so that small
-# checks and every other command never pay for loading it.  A value already
-# set here (a caller's stand-in) is kept.
+# a caller's stand-in for numpy (a profiler's proxy), used in place of the
+# gate's numpy by every check from _NP_MIN entries on
 np = None
 
 
@@ -70,25 +68,24 @@ def _dominates(lower: Sequence[int], upper: Sequence[int], rowwise: bool) -> boo
 
 def _check(c: Configuration, rowwise: bool, op: str) -> bool:
     """Dominance of the sorted bottom side over the k-vector: rowwise for
-    asm, prefixwise for ssm; ValueError unless c is stable.  numpy from
-    _NP_MIN entries on if loaded, else from _NP_IMPORT; pure Python below."""
+    asm, prefixwise for ssm; ValueError unless c is stable.  In numpy where
+    the gate _numpy (or a stand-in np) says so, else in pure Python."""
     m, n = c.shape.m, c.shape.n
-    if m + n < _NP_MIN or (
-            m + n < _NP_IMPORT and np is None and "numpy" not in sys.modules):
+    xp = None
+    if m + n >= _NP_MIN:  # the many tiny checks (census, round trips) ask no gate
+        xp = _numpy(m + n, _NP_MIN, _NP_IMPORT) if np is None else np
+    if xp is None:
         _require_stable(c, op)
         return _dominates(counts_below(c.top, n), sorted(c.bottom), rowwise)
     if c._rowwise is None:
-        _np_verdicts(c, op)
+        _np_verdicts(xp, c, op)
     return c._rowwise if rowwise else c._prefixwise
 
 
-def _np_verdicts(c: Configuration, op: str) -> None:
+def _np_verdicts(np, c: Configuration, op: str) -> None:
     """Check that c is stable and record both of its verdicts on it, from
-    one int64 conversion of each side.  The arrays are not kept: at 10^7
-    entries they would hold about 160 MB."""
-    global np
-    if np is None:
-        import numpy as np
+    one int64 conversion of each side by the numpy module np.  The arrays
+    are not kept: at 10^7 entries they would hold about 160 MB."""
     m, n = c.shape.m, c.shape.n
     try:
         top = np.fromiter(c.top, np.int64, m)
@@ -110,7 +107,8 @@ def is_stochastically_recurrent(c: Configuration) -> bool:
     """Burning check for the stochastic model.
 
     True iff every prefix sum of the sorted bottom side is at least the
-    matching prefix sum of the k-vector.  O(m+n).
+    matching prefix sum of the k-vector.  O(m+n) on the numpy path, else
+    O(m + n log n), where sorted() sorts the bottom side.
     """
     return _check(c, False, "is_stochastically_recurrent")
 
@@ -119,7 +117,8 @@ def is_deterministically_recurrent(c: Configuration) -> bool:
     """Burning check for the deterministic model.
 
     True iff the j-th smallest bottom entry is at least k_j for every j.
-    O(m+n); implies the stochastic check.
+    O(m+n) on the numpy path, else O(m + n log n); implies the stochastic
+    check.
     """
     return _check(c, True, "is_deterministically_recurrent")
 

@@ -4,7 +4,7 @@ import itertools
 import random
 import sys
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,10 +23,12 @@ from bipsand import (
     Vertex,
     add_grain,
     build_dag,
+    census,
     config_to_labelled_pair,
     config_to_pair,
     config_to_polyomino,
     empirical_support,
+    enumerate_recurrent,
     enumerate_stable,
     is_recurrent,
     is_stable,
@@ -36,6 +38,7 @@ from bipsand import (
     polyomino_to_config,
     simulate,
     sort_config,
+    spanning_tree_count,
     stabilize_deterministic,
     stabilize_stochastic,
     topple_deterministic,
@@ -507,6 +510,37 @@ class TestRounds:
         assert len(draws) == 5 * sum(ft) + 6 * sum(fb)
         assert len(rounds) == 1  # the stock oracle's run only
 
+    def test_lower_edge_of_the_gate(self, rounds):
+        # numpy is loaded here, so a first round of _ROUND_MIN firings (16
+        # grains on a K2,2 top vertex at the default) fires in rounds, and
+        # one of _ROUND_MIN - 1 firings (14 grains) on the stack alone
+        import bipsand.model
+
+        oracle = ToppleOracle(5, 0.5)
+        called = []
+        for first in (bipsand.model._ROUND_MIN - 1, bipsand.model._ROUND_MIN):
+            top = (2 * first, 0)
+            got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, (0, 0)), oracle)
+            assert (got.top, got.bottom, ft, fb) == oracles.naive_stabilize_ssm(
+                top, (0, 0), oracle.bit)
+            called.append(len(rounds))
+        assert called == [0, 1]
+
+    def test_custom_oracles_never_fire_in_rounds(self, rounds):
+        # a first round of _ROUND_IMPORT firings: a stock oracle fires it in
+        # rounds, a duck-typed oracle or a subclass on the stack
+        import bipsand.model
+
+        class Same(ToppleOracle):
+            def bit(self, vertex_code, firing, neighbor_code):
+                return super().bit(vertex_code, firing, neighbor_code)
+
+        stock = ToppleOracle(4, 0.5)
+        c = Configuration.from_vectors((2 * bipsand.model._ROUND_IMPORT, 0), (0, 0))
+        for oracle in (SimpleNamespace(bit=stock.bit), Same(4, 0.5)):
+            assert stabilize_stochastic(c, oracle) == stabilize_stochastic(c, stock)
+        assert len(rounds) == 2  # the two stock runs only
+
     def test_huge_pile_stalls_at_once(self):
         # the first round alone needs 5 * 10^11 firings, so both budgets
         # stall at once; spending 10^6 firings one at a time takes about 3 s
@@ -737,6 +771,19 @@ def _message(call):
     return str(exc.value)
 
 
+class TestOracleNeedsBit:
+    """Both stochastic calls reject an oracle without a callable bit at the
+    call (TestOneFiringLoop and TestRounds run duck-typed and subclassed ones)."""
+
+    @pytest.mark.parametrize("oracle", [None, object(), SimpleNamespace(bit=1)],
+                             ids=["none", "object", "bit-not-callable"])
+    def test_rejected_at_the_call(self, oracle):
+        want = f"oracle must have a callable bit method, got {oracle!r}"
+        for text in ("5,0;0,0", "1,0;0,0"):  # unstable, then stable
+            assert _message(lambda: stabilize_stochastic(cfg(text), oracle)) == want
+        assert _message(lambda: topple_stochastic(cfg("5,0;0,0"), Vertex("top", 1), oracle, 0)) == want
+
+
 _TOPPLE_CALLS = {
     "add_grain": add_grain,
     "topple_deterministic": topple_deterministic,
@@ -846,6 +893,20 @@ class TestChainHasNoPolicy:
             call(*args, policy="lifo")
 
 
+_SHAPE_CALLS = {
+    "trajectory": lambda shape: trajectory("asm", shape, 3, 0),
+    "simulate": lambda shape: simulate("asm", shape, 3, 0),
+    "empirical_support": lambda shape: empirical_support("asm", shape, 3, 0),
+    "Configuration": lambda shape: Configuration(shape, (0,), (0,)),
+    "Configuration.zero": Configuration.zero,
+    "enumerate_stable": enumerate_stable,
+    "enumerate_recurrent": lambda shape: enumerate_recurrent(shape, "asm"),
+    "census": lambda shape: census(shape, "asm"),
+    "build_dag": lambda shape: build_dag("asm", shape),
+    "spanning_tree_count": spanning_tree_count,
+}
+
+
 class TestTrajectoryChecksAtTheCall:
     """trajectory rejects bad arguments when called, not on the first next()."""
 
@@ -874,11 +935,13 @@ class TestTrajectoryChecksAtTheCall:
         # asm draws no bit, so it ignores p
         assert list(trajectory("asm", shape, 0, 0, p=p)) == [Configuration.zero(shape)]
 
-    @pytest.mark.parametrize("call", [trajectory, simulate, empirical_support],
-                             ids=["trajectory", "simulate", "empirical_support"])
-    def test_shape_that_is_not_a_bipartite_shape(self, call):
-        assert _message(lambda: call("asm", (2, 2), 3, 0)) == (
-            "shape must be a BipartiteShape, got (2, 2)")
+    @pytest.mark.parametrize("name", list(_SHAPE_CALLS))
+    def test_shape_that_is_not_a_bipartite_shape(self, name):
+        # every call that takes a shape applies one rule, at the call: an
+        # object with .m and .n is no shape, nor is a plain tuple
+        for shape in ((2, 2), namedtuple("S", "m n")(1, 1), None):
+            assert _message(lambda: _SHAPE_CALLS[name](shape)) == (
+                f"shape must be a BipartiteShape, got {shape!r}")
 
 
 def _markov_chain(model, shape, steps, seed, p=0.5, max_firings=10**9):

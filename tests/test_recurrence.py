@@ -591,6 +591,21 @@ class TestNumpyLoadedLazily:
         )
         assert _fresh(code) == "0 False\n"
 
+    def test_the_gate(self):
+        # _numpy(work, pays, loads): None below pays, and below loads while
+        # numpy is not loaded; numpy itself from loads on, and then from pays on
+        code = (
+            "import sys\n"
+            "from bipsand.model import _numpy\n"
+            "for work in (9, 10, 99, 100, 10, 9):\n"
+            "    np = _numpy(work, 10, 100)\n"
+            "    print(work, None if np is None else np.__name__, 'numpy' in sys.modules)"
+        )
+        assert _fresh(code).splitlines() == [
+            "9 None False", "10 None False", "99 None False",
+            "100 numpy True", "10 numpy True", "9 None True",
+        ]
+
     def test_first_large_check_loads_numpy(self):
         # checks of _NP_IMPORT - 1 and _NP_IMPORT entries: only the second
         # loads numpy, and only it records the verdicts
