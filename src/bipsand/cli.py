@@ -3,8 +3,8 @@
 Exit codes: 0 success (and: configuration recurrent, for check), 1 check
 ran fine but the configuration is not recurrent, or a stochastic run
 stalled (TopplingStallError), 2 malformed input or arguments, 3 a size
-guard refused the computation.  Diagnostics go to standard error; results
-to standard output.
+guard refused the computation, 141 standard output was closed early (as by
+`| head`).  Diagnostics go to standard error; results to standard output.
 
 Each handler imports what it runs, so a process loads only the modules its
 command needs; json is imported only where JSON is parsed or printed.
@@ -12,6 +12,7 @@ command needs; json is imported only where JSON is parsed or printed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import GuardError, TopplingStallError
@@ -272,10 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: exit as a shell reports a writer killed
+        # by SIGPIPE, with stdout on devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GuardError, TopplingStallError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, GuardError) else 1 if isinstance(exc, TopplingStallError) else 2
+    return code
 
 
 if __name__ == "__main__":

@@ -315,18 +315,15 @@ def _topple_slot(c: Configuration, v: Vertex) -> int:
 
 
 @lru_cache(maxsize=64)
-def _neighbours(m: int, n: int) -> tuple:
-    """Neighbour slots of a top and of a bottom vertex, in oracle key order:
-    the sink first for a bottom vertex, then neighbours by ascending index."""
-    return tuple(range(m, m + n)), (m + n, *range(m))
-
-
-@lru_cache(maxsize=64)
-def _keys(m: int, n: int) -> tuple:
-    """Oracle key codes by slot (sink 0, top i -> 2i, bottom j -> 2j+1), then
-    the spread last key words of a top and of a bottom firing's bits."""
+def _table(m: int, n: int) -> tuple:
+    """K_{m,n}'s firing table: the neighbour slots of a top and of a bottom
+    vertex, in oracle key order (the sink first for a bottom vertex, then
+    neighbours by ascending index); the oracle key codes by slot (sink 0,
+    top i -> 2i, bottom j -> 2j+1); the spread last key words of a top and
+    of a bottom firing's bits."""
+    nbs = tuple(range(m, m + n)), (m + n, *range(m))
     codes = (*range(2, 2 * m + 1, 2), *range(3, 2 * n + 2, 2), 0)
-    return codes, *(tuple(spread(codes[t]) for t in nbs) for nbs in _neighbours(m, n))
+    return *nbs, codes, *(tuple(spread(codes[t]) for t in side) for side in nbs)
 
 
 def _check_oracle(oracle) -> None:
@@ -344,14 +341,13 @@ def _stock(oracle) -> bool:
 def _firing_bits(oracle: ToppleOracle, m: int, n: int):
     """Return draw(s, firing): the committed bits of that firing of slot s.
 
-    The bits follow _neighbours(m, n) for the side of s.  A stock
+    The bits follow _table(m, n)'s neighbour order for the side of s.  A stock
     ToppleOracle's bits are drawn together from its cached key prefix;
     any other oracle's bit method is called once per bit, in key order.
     """
     if _stock(oracle):
         return _stock_bits(oracle._prefix, oracle._threshold, m, n)
-    codes = _keys(m, n)[0]
-    top_nb, bottom_nb = _neighbours(m, n)
+    top_nb, bottom_nb, codes = _table(m, n)[:3]
     obit = oracle.bit
     top_codes = [codes[t] for t in top_nb]
     bottom_codes = [codes[t] for t in bottom_nb]
@@ -365,7 +361,7 @@ def _firing_bits(oracle: ToppleOracle, m: int, n: int):
 
 def _stock_bits(prefix: int, threshold: int, m: int, n: int):
     """draw(s, firing) of a stock ToppleOracle with this _prefix and _threshold."""
-    codes, top_words, bottom_words = _keys(m, n)
+    codes, top_words, bottom_words = _table(m, n)[2:]
 
     def draw(s, firing):
         return bits_below(prefix, codes[s], firing,
@@ -484,14 +480,14 @@ def _rounds(np, grains: list, fires: list, m: int, n: int, oracle: ToppleOracle,
     bits, a round fires only its first firings in slot order.
     """
     degb = m + 1
-    codes, top_words, bottom_words = _keys(m, n)
+    top_nb, bottom_nb, codes, top_words, bottom_words = _table(m, n)
     prefix, threshold = oracle._prefix, oracle._threshold
     # at p = 1 every bit is 1, and the threshold 2^64 fits no uint64
     threshold = None if threshold >> 64 else np.uint64(threshold)
     pa = np.array([fold(prefix, code) for code in codes[:-1]], np.uint64)
     # one firing's receivers and folded last key words, top side then bottom
     top_words, bottom_words = np.array(top_words, np.uint64), np.array(bottom_words, np.uint64)
-    top_nb, bottom_nb = (np.array(nbs) for nbs in _neighbours(m, n))
+    top_nb, bottom_nb = np.array(top_nb), np.array(bottom_nb)
     deg = np.array([n] * m + [degb] * n)
     cap = max(1, _ROUND_BITS // max(n, degb))
     g = np.array(grains, np.int64)  # the sink's entry collects, and is dropped
@@ -587,7 +583,7 @@ def _settle(grains: list, fires: list, stack: list, m: int, n: int, draw, left: 
     firings are spent (False).  A slot is pushed when an arrival makes it
     unstable, so never twice; the sink's entry grains[m + n] stays above n."""
     degb = m + 1
-    top_nb, bottom_nb = _neighbours(m, n)
+    top_nb, bottom_nb = _table(m, n)[:2]
     while stack:
         s = stack.pop()
         # every neighbour of s sits on the other side, so shares one degree

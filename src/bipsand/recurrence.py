@@ -29,10 +29,6 @@ from .model import BipartiteShape, Configuration, _check_model, _numpy
 _NP_MIN = 192
 _NP_IMPORT = 400_000
 
-# a caller's stand-in for numpy (a profiler's proxy), used in place of the
-# gate's numpy by every check from _NP_MIN entries on
-np = None
-
 
 def _require_stable(c: Configuration, op: str) -> None:
     if not c.is_stable:
@@ -69,16 +65,15 @@ def _dominates(lower: Sequence[int], upper: Sequence[int], rowwise: bool) -> boo
 def _check(c: Configuration, rowwise: bool, op: str) -> bool:
     """Dominance of the sorted bottom side over the k-vector: rowwise for
     asm, prefixwise for ssm; ValueError unless c is stable.  In numpy where
-    the gate _numpy (or a stand-in np) says so, else in pure Python."""
+    the gate _numpy says so, else in pure Python."""
     m, n = c.shape.m, c.shape.n
-    xp = None
-    if m + n >= _NP_MIN:  # the many tiny checks (census, round trips) ask no gate
-        xp = _numpy(m + n, _NP_MIN, _NP_IMPORT) if np is None else np
-    if xp is None:
+    # the many tiny checks (census, round trips) ask no gate
+    np = _numpy(m + n, _NP_MIN, _NP_IMPORT) if m + n >= _NP_MIN else None
+    if np is None:
         _require_stable(c, op)
         return _dominates(counts_below(c.top, n), sorted(c.bottom), rowwise)
     if c._rowwise is None:
-        _np_verdicts(xp, c, op)
+        _np_verdicts(np, c, op)
     return c._rowwise if rowwise else c._prefixwise
 
 

@@ -2,6 +2,9 @@
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 
@@ -345,6 +348,62 @@ def test_unwritable_dot_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["check", '{"top": [1', "--model", "asm"], "bad JSON configuration: "),
+    (
+        ["check", '{"top": [1], "bottom": [0], "z": 1}', "--model", "asm"],
+        "expected an object with 'top' and 'bottom' lists",
+    ),
+    (
+        ["biject", "--from", "ferrers", "0,1|1", "--model", "ssm"],
+        "paired diagrams must have the same number of rows",
+    ),
+    (["biject", "--from", "ferrers", "0,1", "--model", "ssm"], "expected 'ROWS|ROWS' with one '|', "),
+    (["biject", "--from", "polyomino", "upper=;lower=E"], "paths must be nonempty"),
+    (["biject", "--to", "polyomino", "0,5;0,0"], "configuration must be stable"),
+])
+def test_malformed_payload_exits_two(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + want)
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def _spawn(argv, unbuffered, stdout):
+    """bipsand.cli run on argv in a new interpreter, with stderr piped and
+    PYTHONUNBUFFERED set to unbuffered."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+    return subprocess.Popen([sys.executable, "-m", "bipsand.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv,read", [
+    (["enumerate", "--m", "4", "--n", "4"], lambda out: out.readline()),
+    # the JSON listing is one 7.5 MB line: reading a whole line would drain it
+    (["enumerate", "--m", "4", "--n", "4", "--format", "json"], lambda out: out.read(20)),
+], ids=["text", "json"])
+def test_reader_closing_the_pipe_early_exits_141(argv, read, unbuffered):
+    proc = _spawn(argv, unbuffered, subprocess.PIPE)
+    read(proc.stdout)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_output_into_a_closed_pipe_exits_141(unbuffered):
+    # buffered, level's one line stays in stdout's buffer until main flushes it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _spawn(["level", "0;0"], unbuffered, write_end)
+    os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_enumerate_json_streams(monkeypatch):

@@ -250,6 +250,8 @@ class TestLabelled:
         pair = config_to_pair("ssm", cfg("0,2,2;2,2,2"))
         with pytest.raises(ValueError):
             LabelledFerrersPair(pair, (1, 1, 2), (1, 2, 3))
+        with pytest.raises(ValueError, match=r"^row labels must be a permutation of 1\.\.n$"):
+            LabelledFerrersPair(pair, (1, 2, 3), (1, 1, 2))
         lp = LabelledFerrersPair(pair, (2, 1, 3), (1, 3, 2))
         # label order must be increasing within equal-value groups
         with pytest.raises(ValueError):
