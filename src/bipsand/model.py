@@ -20,7 +20,9 @@ piles _numpy keeps in Python and other oracles fire from one stack, one
 firing at a time: the one firing loop, which single topplings of either
 rule also run.  The grain-addition chain keeps one grain list for a whole
 run, settling each step by that stack or the odometer: bit for bit
-markov_step's.
+markov_step's.  No ssm chain bit depends on the state, so where _numpy
+gives numpy, the stack reads the bits of a step's first firings from a
+table drawn in numpy for a block of steps at once.
 """
 from __future__ import annotations
 
@@ -30,12 +32,12 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from operator import index
 
 from ._prf import (
-    DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, below_array, bits_below, fold, fold_array, prf64,
-    spread,
+    DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, INIT, below_array, bits_below, fold, fold_array,
+    masks_below, prf64, spread,
 )
 from .errors import TopplingStallError
 
@@ -52,6 +54,20 @@ _MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
 _ROUND_MIN = 8
 _ROUND_IMPORT = 1000
 _ROUND_BITS = 1 << 16
+
+# The ssm chain draws the bits of each slot's first _FIRST firings for a
+# block of steps at once (see _table_bits).  _numpy gates a run by its step
+# count: with numpy loaded, a run below _BLOCK_MIN steps does not repay a
+# block's fixed cost, and loading numpy costs a fresh process more than a
+# run below _BLOCK_IMPORT steps saves.  A block holds at most _BLOCK_BITS
+# bits, so its arrays stay in cache.  Shapes of degree above _BLOCK_DEGREE
+# keep the stack: their lookups of 2^degree masks cost a first short run
+# more than the table saves it.  CHANGES.md has the timings.
+_FIRST = 2
+_BLOCK_BITS = 1 << 15
+_BLOCK_DEGREE = 11
+_BLOCK_MIN = 32
+_BLOCK_IMPORT = 15000
 
 
 def _numpy(work: int, pays: int, loads: int):
@@ -687,13 +703,23 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
     a grain at slot prf64(seed, DOMAIN_CHOICE, t) % (m + n), then topples by
     the odometer (asm, threshold None) or with the bits of
     ToppleOracle(prf64(seed, DOMAIN_STEP, t), p), whose threshold is given.
-    prf64 is a left fold, so both keys extend a prefix folded once a run."""
+    prf64 is a left fold, so both keys extend a prefix folded once a run.
+    Where _numpy gives numpy, an ssm step's first firings read their bits
+    from a table drawn for a block of steps at once (see _table_bits)."""
     m, n = shape.m, shape.n
     size = m + n
     grains = [0] * size + [n + 1]  # the sink's entry above n (see _settle)
     choice, step = prf64(seed, DOMAIN_CHOICE), prf64(seed, DOMAIN_STEP)
     top, bottom = (0,) * m, (0,) * n
     yield top, bottom
+    np = None
+    if threshold is not None and max(n, m + 1) <= _BLOCK_DEGREE:
+        np = _numpy(steps, _BLOCK_MIN, _BLOCK_IMPORT)
+    if np is not None:
+        bits_at = _table_bits(np, step, steps, m, n, threshold)
+    else:
+        def bits_at(t):
+            return _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n)
     for t in range(1, steps + 1):
         s = fold(choice, t) % size
         grains[s] += 1
@@ -707,11 +733,70 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
                 (top, bottom), _ = _odometer(top, bottom, m, n)
                 grains[:size] = top + bottom
             else:
-                draw = _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n)
-                if not _settle(grains, [0] * size, [s], m, n, draw, max_firings):
+                if not _settle(grains, [0] * size, [s], m, n, bits_at(t), max_firings):
                     raise _stall(grains, m, n, p, max_firings)
                 top, bottom = tuple(grains[:m]), tuple(grains[m:size])
         yield top, bottom
+
+
+@lru_cache(maxsize=None)
+def _decode(degree: int) -> tuple:
+    """The bits of each mask of degree bits, as bytes of 0s and 1s indexed
+    by the mask: bit j of the mask is byte j."""
+    return tuple(bytes(bits[::-1]) for bits in product((0, 1), repeat=degree))
+
+
+def _table_bits(np, step: int, steps: int, m: int, n: int, threshold: int):
+    """Return bits_at(t), for t rising: the draw of the ssm chain step t
+    whose step key prefix is step, bit for bit
+    _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n).
+
+    No bit key depends on the state, so the bits of every slot's firings
+    0.._FIRST-1 come from a table drawn in numpy np for a block of steps at
+    once, each firing's bits packed into one int mask, and later firings'
+    bits from bits_below.  A block starts at a toppling step t and spans at
+    most max(t, _BLOCK_MIN) steps and _BLOCK_BITS bits, so a short read of a
+    long run draws little.  Each slot's neighbour words are padded to the
+    wider side's: the bits past its degree mean nothing, and its lookup
+    repeats past them.  At p = 1 every bit is 1, and nothing is drawn.
+    """
+    if threshold >> 64:  # p = 1, whose threshold 2^64 fits no uint64
+        ones = [(True,) * n] * m + [(True,) * (m + 1)] * n
+        return lambda t: lambda s, firing: ones[s]
+    codes, top_words, bottom_words = _table(m, n)[2:]
+    size, width = m + n, max(n, m + 1)
+    words = [top_words] * m + [bottom_words] * n
+    decode = ([_decode(n) * (1 << (width - n))] * m
+              + [_decode(m + 1) * (1 << (width - m - 1))] * n)
+    pad = (0,) * (width - min(n, m + 1))
+    spread_words = np.array([(*ws, *pad)[:width] for ws in words], np.uint64)
+    code_words = np.array(codes[:-1], np.uint64)
+    firings = np.arange(_FIRST, dtype=np.uint64)[:, None]
+    below = np.uint64(threshold)
+    cap = max(1, _BLOCK_BITS // (_FIRST * size * width))
+    block, base = [], 0
+
+    def bits_at(t):
+        nonlocal block, base
+        if t - base >= len(block):
+            base, count = t, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)
+            with np.errstate(over="ignore"):
+                child = fold_array(np.uint64(step), np.arange(t, t + count, dtype=np.uint64))
+                prefix = fold_array(fold_array(np.uint64(INIT), child), np.uint64(DOMAIN_BIT))
+                acc = fold_array(fold_array(prefix[:, None], code_words)[:, None], firings)
+                # entry [i][f][s] packs the bits of slot s's firing f at step t + i
+                block = masks_below(np, acc, spread_words, below).tolist()
+        masks = block[t - base]
+
+        def draw(s, firing):
+            if firing < _FIRST:
+                return decode[s][masks[firing][s]]
+            return bits_below(prf64(fold(step, t), DOMAIN_BIT), codes[s], firing, words[s],
+                              threshold)
+
+        return draw
+
+    return bits_at
 
 
 def simulate(

@@ -1,0 +1,183 @@
+"""A catalogue of mutants that the test suite must kill.
+
+Each entry changes one snippet of one module of the package, and names the
+pytest selection that must catch it.  For each entry the runner copies
+src/, tests/ and pyproject.toml to a temporary directory, requires the
+snippet to occur exactly once in the module (so a refactor that removes it
+fails the entry loudly instead of letting it pass), applies the
+replacement and runs the selection with -x.  The mutant is killed when the
+selection fails.  Each distinct selection first runs once on the unchanged
+copy and must pass there, so a selection that fails anyway kills nothing.
+
+A mutant that survives is a finding about the tests: report it, and do not
+delete or soften its entry.  Changes that keep every output by design are
+listed in EQUIVALENT, with the reason, and are not run.
+
+Run from anywhere; it takes about a minute, and needs only the standard
+library (the selections need pytest and hypothesis):
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries
+    python tests/mutants.py --list
+
+The exit status is 0 when every mutant run was killed, else 1.  This file
+has no test_ prefix, so pytest does not collect it.
+"""
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TIMEOUT = 600  # seconds for one selection; a mutant that hangs counts as killed
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file under src/bipsand
+    snippet: str
+    replacement: str
+    selection: tuple  # pytest arguments, run from the copy's root
+
+
+CHAIN_TABLE = ("tests/test_model.py", "-k", "TestChainTable")
+TABLE_BITS = ("tests/test_oracle_bits.py", "-k", "chain_table")
+ROUNDS = ("tests/test_model.py", "-k", "TestRounds")
+
+MUTANTS = (
+    # the ssm chain's bit table
+    Mutant("table-first-firings-le", "model.py",
+           "            if firing < _FIRST:",
+           "            if firing <= _FIRST:", CHAIN_TABLE),
+    Mutant("table-block-base-off-by-one", "model.py",
+           "base, count = t, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)",
+           "base, count = t - 1, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)", CHAIN_TABLE),
+    Mutant("table-mask-bit-order-reversed", "model.py",
+           "return tuple(bytes(bits[::-1]) for bits in product((0, 1), repeat=degree))",
+           "return tuple(bytes(bits) for bits in product((0, 1), repeat=degree))", TABLE_BITS),
+    Mutant("table-p1-branch-dropped", "model.py",
+           "    if threshold >> 64:  # p = 1, whose threshold 2^64 fits no uint64",
+           "    if False:", CHAIN_TABLE),
+    Mutant("table-masks-from-step-t-plus-1", "model.py",
+           "np.arange(t, t + count, dtype=np.uint64)",
+           "np.arange(t + 1, t + count + 1, dtype=np.uint64)", TABLE_BITS),
+    Mutant("table-lookup-not-repeated-past-the-degree", "model.py",
+           "decode = ([_decode(n) * (1 << (width - n))] * m",
+           "decode = ([_decode(n)] * m", CHAIN_TABLE),
+    Mutant("fold-array-unspread-word", "_prf.py",
+           "return _mix_array(acc ^ (w + 1) * _FOLD)",
+           "return _mix_array(acc ^ w * _FOLD)", TABLE_BITS),
+    # the four of the catalogue's first prototype
+    Mutant("dominates-prefix-sums-from-the-second-entry", "recurrence.py",
+           "return all(map(ge, accumulate(upper), accumulate(lower)))",
+           "return all(map(ge, accumulate(upper[1:]), accumulate(lower[1:])))",
+           ("tests/test_recurrence.py",)),
+    Mutant("odometer-fixed-point-loosened", "model.py",
+           "        if b_next == fired_b:",
+           "        if b_next <= fired_b + 1:", ("tests/test_model.py", "-k", "Odometer")),
+    Mutant("chain-landing-slot-from-t-plus-1", "model.py",
+           "s = fold(choice, t) % size",
+           "s = fold(choice, t + 1) % size", ("tests/test_cli.py", "-k", "readme")),
+    Mutant("settle-fires-only-above-the-degree", "model.py",
+           "while g >= deg and left:",
+           "while g > deg and left:", ("tests/test_model.py", "-k", "OneFiringLoop")),
+    # the rounds engine
+    Mutant("rounds-budget-one-over", "model.py",
+           "            if total > left:",
+           "            if total > left + 1:", ROUNDS),
+    Mutant("rounds-firing-index-off-by-the-slot-start", "model.py",
+           "firing = np.repeat(fired[idx] - np.cumsum(cnt) + cnt, cnt) + np.arange(total)",
+           "firing = np.repeat(fired[idx] - np.cumsum(cnt), cnt) + np.arange(total)", ROUNDS),
+)
+
+# (change, why it keeps every output); not run
+EQUIVALENT = (
+    ("_ROUND_MIN = 8 -> 1", "rounds and the stack fire the same unique odometer"),
+    ("p = 1 threshold 2^64 -> 2^64 - 1",
+     "a hash equal to 2^64 - 1 turns up with probability 2^-64"),
+    ("_FIRST = 2 -> 1 or 3", "the table and bits_below draw the same bits"),
+    ("_BLOCK_MIN, _BLOCK_IMPORT, _BLOCK_BITS, _BLOCK_DEGREE",
+     "they choose where the table runs and how far it draws, never a bit"),
+)
+
+
+def _copy(dest: pathlib.Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(root: pathlib.Path, selection: tuple) -> int | None:
+    """The exit status of the selection run in root, or None on a timeout."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    try:
+        return subprocess.run(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _apply(root: pathlib.Path, mutant: Mutant) -> str | None:
+    """Apply mutant in root; an error message when its snippet is not there once."""
+    path = root / "src" / "bipsand" / mutant.module
+    text = path.read_text()
+    found = text.count(mutant.snippet)
+    if found != 1:
+        return f"snippet occurs {found} times in {mutant.module}"
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+    return None
+
+
+def main(argv: list) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.module}: {' '.join(m.selection)}")
+        return 0
+    names = {m.name for m in MUTANTS}
+    unknown = [a for a in argv if a not in names]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    killed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = pathlib.Path(tmp) / "clean"
+        _copy(clean)
+        failing = set()
+        for selection in dict.fromkeys(m.selection for m in chosen):
+            status = _pytest(clean, selection)
+            if status != 0:
+                print(f"BASELINE FAILS (pytest exit {status}): {' '.join(selection)}")
+                failing.add(selection)
+        for i, mutant in enumerate(chosen):
+            if mutant.selection in failing:
+                print(f"{'NOT RUN':<20} {mutant.name}  [its selection fails unchanged]")
+                continue
+            root = pathlib.Path(tmp) / f"m{i}"
+            _copy(root)
+            t0 = time.perf_counter()
+            error = _apply(root, mutant)
+            status = None if error else _pytest(root, mutant.selection)
+            shutil.rmtree(root)
+            if error:
+                verdict = f"ERROR ({error})"
+            elif status is None:
+                verdict = "killed (timeout)"
+            else:
+                verdict = "killed" if status == 1 else f"SURVIVED (pytest exit {status})"
+            killed += verdict.startswith("killed")
+            print(f"{verdict:<20} {mutant.name}  [{time.perf_counter() - t0:.1f} s]", flush=True)
+    print(f"{killed} of {len(chosen)} mutants killed; "
+          f"{len(EQUIVALENT)} equivalent by design, not run")
+    return 0 if killed == len(chosen) else 1
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

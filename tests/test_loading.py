@@ -35,9 +35,25 @@ def test_import_loads_no_submodule():
 ], ids=["check", "check-json", "level", "stabilize-ssm", "stabilize-asm", "simulate-asm",
         "simulate-ssm"])
 def test_commands_leave_the_combinatorial_modules_unloaded(argv):
-    # the chain runs in pure Python: importing numpy would cost simulate about 0.19 s
+    # a chain this short draws its bits in pure Python unless numpy is
+    # already loaded: importing it would cost simulate about 0.15 s
     unused = _UNUSED + ("numpy",) * (argv[0] == "simulate")
     assert _loaded_after_main(argv, unused) == "0 []\n"
+
+
+def test_chain_below_the_import_threshold_leaves_numpy_unloaded():
+    # runs of 2,000 and _BLOCK_IMPORT - 1 steps stay in pure Python; one of
+    # _BLOCK_IMPORT steps loads numpy for its bit table
+    code = (
+        "import sys\n"
+        "from bipsand import BipartiteShape, simulate\n"
+        "from bipsand.model import _BLOCK_IMPORT\n"
+        "print(2000 < _BLOCK_IMPORT - 1)\n"
+        "for steps in (2000, _BLOCK_IMPORT - 1, _BLOCK_IMPORT):\n"
+        "    simulate('ssm', BipartiteShape(2, 2), steps, 7)\n"
+        "    print('numpy' in sys.modules)"
+    )
+    assert _fresh(code).split() == ["True", "False", "False", "True"]
 
 
 def test_biject_loads_only_its_family():

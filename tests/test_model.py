@@ -1,9 +1,11 @@
 """Core state, toppling, stabilization, and the grain-addition chain."""
 import functools
+import hashlib
 import itertools
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter, namedtuple
 from types import SimpleNamespace
 
@@ -1011,6 +1013,138 @@ class TestChainIsTheMarkovStepChain:
         assert (states, message) == _until_stall(_markov_chain("ssm", shape, steps, seed, p,
                                                                most - 1))
         assert message.startswith(f"no stable state after {most - 1} firings on K0_{{3,3}}")
+
+
+def _set_table_gate(monkeypatch, pays, loads):
+    """Set the pair of _numpy thresholds that the ssm chain's bit table asks with."""
+    import bipsand.model
+
+    monkeypatch.setattr(bipsand.model, "_BLOCK_MIN", pays)
+    monkeypatch.setattr(bipsand.model, "_BLOCK_IMPORT", loads)
+
+
+class TestChainTableIsTheMarkovStepChain(TestChainIsTheMarkovStepChain):
+    """The same checks with the table's gate at 0: every ssm run of degree
+    up to _BLOCK_DEGREE reads its first firings' bits from numpy tables,
+    in blocks from one step long."""
+
+    @pytest.fixture(autouse=True)
+    def table_on(self, monkeypatch):
+        _set_table_gate(monkeypatch, 0, 0)
+
+
+class TestChainStackIsTheMarkovStepChain(TestChainIsTheMarkovStepChain):
+    """The same checks with the table's gate out of reach: numpy is loaded,
+    and every ssm run draws its bits one firing at a time."""
+
+    @pytest.fixture(autouse=True)
+    def table_off(self, monkeypatch):
+        _set_table_gate(monkeypatch, 2**63, 2**63)
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """The list of the steps each block of the chain's table spans, as they
+    are drawn."""
+    import bipsand.model
+
+    counts = []
+    pack = bipsand.model.masks_below
+
+    def counted(np, acc, spread_words, threshold):
+        counts.append(len(acc))
+        return pack(np, acc, spread_words, threshold)
+
+    monkeypatch.setattr(bipsand.model, "masks_below", counted)
+    return counts
+
+
+class TestChainTable:
+    """Where the table runs, how far it draws ahead, and what it costs."""
+
+    def _stack(self, monkeypatch, call):
+        """call() with the table's gate out of reach, then restored."""
+        with monkeypatch.context() as patch:
+            _set_table_gate(patch, 2**63, 2**63)
+            return call()
+
+    @pytest.mark.parametrize("m, n, steps", [(2, 2, 3000), (10, 10, 400)])
+    def test_blocks_join_up(self, blocks, monkeypatch, m, n, steps):
+        # default gate, numpy loaded: K2,2's blocks are capped at 1365 steps
+        # and K10,10's at 74, so both runs cross block boundaries
+        shape = BipartiteShape(m, n)
+        got = list(trajectory("ssm", shape, steps, 11))
+        assert len(blocks) >= 3
+        assert got == self._stack(monkeypatch, lambda: list(trajectory("ssm", shape, steps, 11)))
+
+    def test_later_firings_fall_back_to_bits_below(self, monkeypatch):
+        # at p = 0.3 a K2,2 slot often fires more than _FIRST times in a step
+        import bipsand.model
+
+        _set_table_gate(monkeypatch, 0, 0)
+        calls = []
+        below = bipsand.model.bits_below
+
+        def counted(*args):
+            calls.append(args[2])
+            return below(*args)
+
+        shape = BipartiteShape(2, 2)
+        want = list(_markov_chain("ssm", shape, 300, 5, 0.3))
+        monkeypatch.setattr(bipsand.model, "bits_below", counted)
+        assert list(trajectory("ssm", shape, 300, 5, 0.3)) == want
+        # called with firing indices from _FIRST on, and only with them
+        assert calls and min(calls) == bipsand.model._FIRST
+
+    def test_a_short_read_draws_a_short_block(self, blocks):
+        import bipsand.model
+
+        # K1,1 topples at step 1; a run of a million steps, read for 3
+        states = trajectory("ssm", BipartiteShape(1, 1), 10**6, 4)
+        for _ in range(4):
+            next(states)
+        assert blocks == [bipsand.model._BLOCK_MIN]
+
+    @pytest.mark.parametrize("m, n, table", [
+        (10, 10, True), (0, 11, True), (11, 11, False), (11, 1, False),
+    ])
+    def test_degree_cap(self, blocks, monkeypatch, m, n, table):
+        shape = BipartiteShape(m, n)
+        got = simulate("ssm", shape, 600, 2)
+        assert bool(blocks) == table
+        assert got == self._stack(monkeypatch, lambda: simulate("ssm", shape, 600, 2))
+
+    @pytest.mark.parametrize("m, n, steps, seed, peak_mb", [
+        (400, 400, 50, 9, 1), (10, 10, 2000, 3, 4),
+    ])
+    def test_memory_is_bounded_by_the_caps(self, blocks, monkeypatch, m, n, steps, seed,
+                                           peak_mb):
+        # K400,400 is past the degree cap: no lookup of 2^401 masks is built.
+        # K10,10 is at it, and its blocks are capped at _BLOCK_BITS bits
+        import bipsand.model
+
+        shape = BipartiteShape(m, n)
+        bipsand.model._decode.cache_clear()
+        tracemalloc.start()
+        try:
+            got = simulate("ssm", shape, steps, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_mb * 2**20
+        assert bool(blocks) == (m <= 10)
+        assert got == self._stack(monkeypatch, lambda: simulate("ssm", shape, steps, seed))
+
+    def test_readme_example_with_the_table(self, blocks, monkeypatch):
+        # seeded ssm output is a public contract on both paths: the README's
+        # `bipsand simulate --model ssm --m 2 --n 2 --steps 1000 --seed 7`
+        _set_table_gate(monkeypatch, 0, 0)
+        visits = simulate("ssm", BipartiteShape(2, 2), 1000, 7)
+        items = sorted(visits.items(), key=lambda kv: (kv[0].top, kv[0].bottom))
+        out = "\n".join(f"{c.to_text()} {k}" for c, k in items) + "\n"
+        assert blocks
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0dda3ce9eed89f563b672ac70d7d5632e1abe2d34340ac1985e5186e79334196")
 
 
 class TestChainFiringBudget:

@@ -1,6 +1,7 @@
 """Committed oracle bits: the batched per-firing draw, custom bit sources, and p's range."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +13,8 @@ from bipsand import (
     TopplingStallError,
     stabilize_stochastic,
 )
-from bipsand._prf import DOMAIN_BIT, prf64
-from bipsand.model import _firing_bits
+from bipsand._prf import DOMAIN_BIT, DOMAIN_STEP, prf64
+from bipsand.model import _firing_bits, _table_bits
 
 SEEDS = st.one_of(
     st.integers(-(2**80), -1),
@@ -53,6 +54,29 @@ class TestFiringBits:
         oracle = ToppleOracle(seed, p)
         got = _firing_bits(oracle, m, n)(s, firing)
         assert [int(b) for b in got] == spec_bits(seed, p, vcode, firing, nbs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=SEEDS,
+        p=PROBABILITIES,
+        m=st.integers(0, 10),
+        n=st.integers(1, 11),
+        t=st.integers(1, 3000),
+        data=st.data(),
+    )
+    def test_chain_table_bits_match_spec(self, seed, p, m, n, t, data):
+        # chain step t's bits are ToppleOracle(prf64(seed, DOMAIN_STEP, t), p)'s,
+        # from the table for the first firings and from bits_below after them
+        s = data.draw(st.integers(0, m + n - 1))
+        firing = data.draw(st.integers(0, 4))
+        if s < m:
+            vcode, nbs = 2 * (s + 1), [2 * j + 1 for j in range(1, n + 1)]
+        else:
+            vcode, nbs = 2 * (s - m + 1) + 1, [0] + [2 * i for i in range(1, m + 1)]
+        bits_at = _table_bits(np, prf64(seed, DOMAIN_STEP), 3000, m, n, int(p * 2**64))
+        got = bits_at(t)(s, firing)
+        want = spec_bits(prf64(seed, DOMAIN_STEP, t), p, vcode, firing, nbs)
+        assert [int(b) for b in got] == want
 
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, p=PROBABILITIES, firing=st.integers(0, 2**40))
