@@ -13,12 +13,13 @@ function of (seed, p, vertex, firing index, neighbour).  So neither rule
 has a toppling order to choose: the stable result is unique.
 
 asm stabilization solves for the firing totals directly, by one kernel
-(the least-action odometer) that the chain calls too.  ssm stabilization
-with a stock ToppleOracle first fires in numpy rounds: every unstable
-vertex fires as often as its grains allow, all at once.  Small rounds,
-piles _numpy keeps in Python and other oracles fire from one stack, one
-firing at a time: the one firing loop, which single topplings of either
-rule also run.  The grain-addition chain keeps one grain list for a whole
+(the least-action odometer) that the chain calls too, and so does ssm with
+a stock ToppleOracle at p = 1.  Below p = 1, a stock oracle's pile sweeps
+the two sides in turn in numpy: each vertex of one side fires until it is
+stable, its bits read from windows drawn for many firings at once.  Piles
+_numpy keeps in Python and other oracles fire from one stack, one firing
+at a time: the one firing loop, which single topplings of either rule
+also run.  The grain-addition chain keeps one grain list for a whole
 run, settling each step by that stack or the odometer: bit for bit
 markov_step's.  No ssm chain bit depends on the state, so where _numpy
 gives numpy, the stack reads the bits of a step's first firings from a
@@ -45,15 +46,17 @@ MODELS = ("asm", "ssm")
 _POLICIES = ("fifo", "lifo", "min-index")
 _MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
 
-# ssm stabilization fires in numpy rounds while a round holds at least
-# _ROUND_MIN firings, and hands the rest to the stack.  _numpy gates the
-# first round with both: loading numpy costs a fresh process about 0.19 s,
-# more than rounds save on a pile whose first round is below _ROUND_IMPORT.
-# A round fires at most _ROUND_BITS // (largest degree) firings, so its
-# bit matrix never grows with the grain count.  CHANGES.md has the timings.
-_ROUND_MIN = 8
-_ROUND_IMPORT = 1000
-_ROUND_BITS = 1 << 16
+# ssm stabilization with a stock ToppleOracle sweeps the sides in numpy
+# (see _sweeps).  _numpy gates a pile by its first-round firings: with
+# numpy loaded, sweeps do not repay their fixed cost below _SWEEP_MIN, and
+# loading numpy costs a fresh process about 0.19 s, more than sweeps save
+# below _SWEEP_IMPORT.  A slot's window of bits covers at most _SWEEP_WINDOW
+# firings, and all windows together at most _SWEEP_BITS bits, whatever the
+# grain count.  CHANGES.md has the timings.
+_SWEEP_MIN = 16
+_SWEEP_IMPORT = 1000
+_SWEEP_BITS = 1 << 16
+_SWEEP_WINDOW = 128
 
 # The ssm chain draws the bits of each slot's first _FIRST firings for a
 # block of steps at once (see _table_bits).  _numpy gates a run by its step
@@ -481,68 +484,86 @@ def _stall(grains: list, m: int, n: int, p, max_firings: int) -> TopplingStallEr
     )
 
 
-def _rounds(np, grains: list, fires: list, m: int, n: int, oracle: ToppleOracle,
-            max_firings: int) -> int:
-    """Fire ssm rounds in numpy np on grains and fires, in place; return the budget left.
+def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings: int) -> list:
+    """Stabilize grains in numpy np with a stock oracle below p = 1, in
+    place; return the firing counts by slot.
 
-    A round fires each slot s floor(grains[s] / deg s) times at once, with
-    its next firing indices.  Each of these firings is legal: one sends
-    at most deg s grains, and arrivals only add.  The round's bits are
-    one flat batch, firing after firing in slot order, bit for bit those
-    _firing_bits draws.  Rounds stop before one of fewer than _ROUND_MIN
-    firings.  A round of more firings than the budget left raises
-    TopplingStallError: every legal firing is part of the unique
-    stabilizing odometer, so any order would stall.  Past _ROUND_BITS
-    bits, a round fires only its first firings in slot order.
+    The sides take turns, tops first, each slot firing until it is stable
+    given the other side's firings so far, until a turn after the first
+    fires nothing.  Every firing is legal when it happens, so by the least
+    action principle the counts climb to the stack's unique odometer.  A
+    slot's window holds its bits for firings base..base+W-1 (drawn once it
+    first holds deg grains) as counts by neighbour, cumulative over the
+    window (C) and summed (S): holding h grains at base, the slot fires
+    base + #{j < W : S[j] <= h - deg} times, and at the window's end moves
+    it on.  Each move, and the end, checks the budget (see tally).
     """
-    degb = m + 1
-    top_nb, bottom_nb, codes, top_words, bottom_words = _table(m, n)
-    prefix, threshold = oracle._prefix, oracle._threshold
-    # at p = 1 every bit is 1, and the threshold 2^64 fits no uint64
-    threshold = None if threshold >> 64 else np.uint64(threshold)
-    pa = np.array([fold(prefix, code) for code in codes[:-1]], np.uint64)
-    # one firing's receivers and folded last key words, top side then bottom
-    top_words, bottom_words = np.array(top_words, np.uint64), np.array(bottom_words, np.uint64)
-    top_nb, bottom_nb = np.array(top_nb), np.array(bottom_nb)
-    deg = np.array([n] * m + [degb] * n)
-    cap = max(1, _ROUND_BITS // max(n, degb))
-    g = np.array(grains, np.int64)  # the sink's entry collects, and is dropped
-    fired = np.array(fires, np.int64)
-    left = max_firings
+    deg, rows = (n, m + 1), (np.arange(m), np.arange(n))
+    codes, *words = _table(m, n)[2:]
+    words = [np.array(w, np.uint64) for w in words]
+    width = max(1, min(_SWEEP_WINDOW, _SWEEP_BITS // ((m + n) * max(n, m + 1))))
+    steps, below = np.arange(width, dtype=np.uint64), np.uint64(oracle._threshold)
+    # by side: grains at the bases, key prefixes, bases, firings past them
+    held = [np.array(grains[:m], np.int64), np.array(grains[m:-1], np.int64)]
+    pa = [np.array([fold(oracle._prefix, c) for c in part], np.uint64)
+          for part in (codes[:m], codes[m:-1])]
+    base = [np.zeros(len(h), np.int64) for h in held]
+    pos = [np.zeros(len(h), np.int64) for h in held]
+    C = [np.zeros((len(h), width + 1, d), np.int64) for h, d in zip(held, deg)]
+    S = [np.zeros((len(h), width + 1), np.int64) for h in held]
+    drawn, lazy = [np.zeros(len(h), bool) for h in held], [True, True]
+
+    def draw(x, r):
+        """Draw side x's windows of the slots r, from their bases."""
+        acc = fold_array(pa[x][r, None], base[x][r, None].astype(np.uint64) + steps)
+        C[x][r, 1:] = below_array(acc[..., None], words[x], below).cumsum(1)
+        S[x][r] = C[x][r].sum(2)
+        drawn[x][r] = True
+
+    def have(x):
+        """Side x's grains at its bases, plus arrivals from the other side's
+        windows (a bottom's first count is the sink's, which keeps none)."""
+        got = C[1 - x][rows[1 - x], pos[1 - x]].sum(0)
+        return held[x] + (got[1:] if x == 0 else got)
+
+    def tally():
+        """Write both sides' grains back; stall once the firings so far plus
+        sum(grains // deg), a lower bound of the odometer, exceed the budget."""
+        now = [have(x) - S[x][rows[x], pos[x]] for x in (0, 1)]
+        grains[:-1] = [*now[0].tolist(), *now[1].tolist()]
+        bound = sum(int((base[x] + pos[x] + now[x] // deg[x]).sum()) for x in (0, 1))
+        if bound > max_firings:
+            raise _stall(grains, m, n, oracle.p, max_firings)
+
     with np.errstate(over="ignore"):
+        x = turn = 0
         while True:
-            k = g[:-1] // deg
-            total = int(k.sum())
-            if total < _ROUND_MIN:
+            h = have(x)
+            if lazy[x] and (new := np.flatnonzero((h >= deg[x]) > drawn[x])).size:
+                draw(x, new)
+                lazy[x] = not drawn[x].all()
+            moved = False
+            while True:
+                count = (S[x][:, :width] <= (h - deg[x])[:, None]).sum(1)
+                if count.max(initial=0) < width:
+                    break
+                moved = True
+                full = np.flatnonzero(count == width)
+                h[full] -= S[x][full, width]
+                held[x][full] -= S[x][full, width]
+                sent = C[x][full, width].sum(0)
+                held[1 - x] += sent[1:] if x else sent
+                base[x][full] += width
+                count[full] = 0
+                pos[x] = count
+                draw(x, full)
+                tally()
+            if turn and not moved and not (count - pos[x]).any():
                 break
-            if total > left:
-                grains[:-1] = g[:-1].tolist()
-                raise _stall(grains, m, n, oracle.p, max_firings)
-            if total > cap:
-                k = np.diff(np.minimum(np.cumsum(k), cap), prepend=0)
-                total = cap
-            left -= total
-            idx = np.flatnonzero(k)
-            cnt = k[idx]
-            slots = np.repeat(idx, cnt)
-            width = deg[slots]
-            tops = int(k[:m].sum())
-            nbs = np.concatenate((np.tile(top_nb, tops), np.tile(bottom_nb, total - tops)))
-            senders = np.repeat(slots, width)
-            if threshold is None:
-                moved = slice(None)
-            else:
-                firing = np.repeat(fired[idx] - np.cumsum(cnt) + cnt, cnt) + np.arange(total)
-                acc = fold_array(pa[slots], firing.astype(np.uint64))
-                words = np.concatenate((np.tile(top_words, tops),
-                                        np.tile(bottom_words, total - tops)))
-                moved = below_array(np.repeat(acc, width), words, threshold)
-            g += np.bincount(nbs[moved], minlength=m + n + 1)
-            g -= np.bincount(senders[moved], minlength=m + n + 1)
-            fired += k
-    grains[:-1] = g[:-1].tolist()
-    fires[:] = fired.tolist()
-    return left
+            pos[x] = count
+            x, turn = 1 - x, turn + 1
+        tally()
+    return [*(base[0] + pos[0]).tolist(), *(base[1] + pos[1]).tolist()]
 
 
 def stabilize_stochastic(
@@ -556,11 +577,11 @@ def stabilize_stochastic(
     A firing may move zero grains (all bits 0); it still takes the vertex's
     next firing index, so each firing consumes fresh bits.  policy orders
     nothing; a name outside _POLICIES raises ValueError.  A stock
-    ToppleOracle fires in rounds first: every vertex fires as often as its
-    grains allow, all at once, its bits drawn in one numpy batch (see
-    _rounds).  Once a round would fire fewer than _ROUND_MIN times, or from
-    the start for a pile _numpy keeps in Python or any other oracle, one
-    stack holds the unstable vertices, fired one at a time (see _settle).
+    ToppleOracle at p = 1 fires as asm does (see _odometer); below p = 1 its
+    sides take turns in numpy, each vertex firing until it is stable, with
+    its bits drawn in windows of many firings (see _sweeps).  A pile _numpy
+    keeps in Python, and any other oracle, fire from one stack of the
+    unstable vertices, one firing at a time (see _settle).
     oracle must have a callable bit (ValueError at the call otherwise).
     To avoid hanging on adversarial oracles, more than max_firings total
     firings raises TopplingStallError; max_firings must be an int >= 0
@@ -571,24 +592,29 @@ def stabilize_stochastic(
     _check_policy(policy)
     _check_oracle(oracle)
     m, n = c.shape.m, c.shape.n
-    degb = m + 1
     grains = [*c.top, *c.bottom, n + 1]  # the sink's entry above n (see _settle)
     stack = _unstable(grains, m, n)
     if not stack:
         return c, ((0,) * m, (0,) * n)
-    fires = [0] * (m + n)
+    p = getattr(oracle, "p", "?")
     # the firings a first round would take are all part of the odometer
-    first = sum(grains[s] // (n if s < m else degb) for s in stack)
+    first = sum(grains[s] // (n if s < m else m + 1) for s in stack)
     if first > max_firings:
-        raise _stall(grains, m, n, getattr(oracle, "p", "?"), max_firings)
-    left = max_firings
-    np = _numpy(first, _ROUND_MIN, _ROUND_IMPORT) if _stock(oracle) else None
-    # int64 holds every count in a round when it holds the sum of them all
+        raise _stall(grains, m, n, p, max_firings)
+    stock = _stock(oracle)
+    if stock and oracle._threshold >> 64:  # p = 1: every bit is 1
+        sides, fired = _odometer(c.top, c.bottom, m, n)
+        if sum(fired[0]) + sum(fired[1]) > max_firings:
+            raise _stall(grains, m, n, p, max_firings)
+        return Configuration._trusted(c.shape, *sides), fired
+    np = _numpy(first, _SWEEP_MIN, _SWEEP_IMPORT) if stock else None
+    # int64 holds every count of the sweeps when it holds the sum of all grains
     if np is not None and sum(grains) < 1 << 63:
-        left = _rounds(np, grains, fires, m, n, oracle, max_firings)
-        stack = _unstable(grains, m, n)
-    if not _settle(grains, fires, stack, m, n, _firing_bits(oracle, m, n), left):
-        raise _stall(grains, m, n, getattr(oracle, "p", "?"), max_firings)
+        fires = _sweeps(np, grains, m, n, oracle, max_firings)
+    else:
+        fires = [0] * (m + n)
+        if not _settle(grains, fires, stack, m, n, _firing_bits(oracle, m, n), max_firings):
+            raise _stall(grains, m, n, p, max_firings)
     stable = Configuration._trusted(c.shape, tuple(grains[:m]), tuple(grains[m:-1]))
     return stable, (tuple(fires[:m]), tuple(fires[m:]))
 
@@ -704,23 +730,29 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
     the odometer (asm, threshold None) or with the bits of
     ToppleOracle(prf64(seed, DOMAIN_STEP, t), p), whose threshold is given.
     prf64 is a left fold, so both keys extend a prefix folded once a run.
-    Where _numpy gives numpy, an ssm step's first firings read their bits
-    from a table drawn for a block of steps at once (see _table_bits)."""
+    Where _numpy gives numpy, from the start or once the steps run reach
+    _BLOCK_IMPORT, an ssm step's first firings read their bits from a table
+    drawn for a block of steps at once (see _table_bits)."""
     m, n = shape.m, shape.n
     size = m + n
     grains = [0] * size + [n + 1]  # the sink's entry above n (see _settle)
     choice, step = prf64(seed, DOMAIN_CHOICE), prf64(seed, DOMAIN_STEP)
     top, bottom = (0,) * m, (0,) * n
     yield top, bottom
-    np = None
+    np = switch = None
     if threshold is not None and max(n, m + 1) <= _BLOCK_DEGREE:
-        np = _numpy(steps, _BLOCK_MIN, _BLOCK_IMPORT)
-    if np is not None:
-        bits_at = _table_bits(np, step, steps, m, n, threshold)
-    else:
-        def bits_at(t):
-            return _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n)
+        # the table from the start if numpy is loaded (a load threshold past
+        # the run imports nothing), else from the step that reaches _BLOCK_IMPORT
+        np = _numpy(steps, _BLOCK_MIN, steps + 1)
+        switch = 1 if np else max(1, _BLOCK_IMPORT)
+
+    def bits_at(t):
+        return _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n)
+
     for t in range(1, steps + 1):
+        if t == switch:
+            np = np or _numpy(t, _BLOCK_MIN, _BLOCK_IMPORT)
+            bits_at = _table_bits(np, step, steps, m, n, threshold)
         s = fold(choice, t) % size
         grains[s] += 1
         # the other side keeps its tuple: states share it, as add_grain's do

@@ -48,7 +48,7 @@ class Mutant(NamedTuple):
 
 CHAIN_TABLE = ("tests/test_model.py", "-k", "TestChainTable")
 TABLE_BITS = ("tests/test_oracle_bits.py", "-k", "chain_table")
-ROUNDS = ("tests/test_model.py", "-k", "TestRounds")
+SWEEPS = ("tests/test_model.py", "-k", "TestRounds")
 
 MUTANTS = (
     # the ssm chain's bit table
@@ -73,6 +73,10 @@ MUTANTS = (
     Mutant("fold-array-unspread-word", "_prf.py",
            "return _mix_array(acc ^ (w + 1) * _FOLD)",
            "return _mix_array(acc ^ w * _FOLD)", TABLE_BITS),
+    Mutant("chain-imports-numpy-by-declared-steps", "model.py",
+           "np = _numpy(steps, _BLOCK_MIN, steps + 1)",
+           "np = _numpy(steps, _BLOCK_MIN, _BLOCK_IMPORT)",
+           ("tests/test_loading.py", "-k", "long_run")),
     # the four of the catalogue's first prototype
     Mutant("dominates-prefix-sums-from-the-second-entry", "recurrence.py",
            "return all(map(ge, accumulate(upper), accumulate(lower)))",
@@ -87,18 +91,40 @@ MUTANTS = (
     Mutant("settle-fires-only-above-the-degree", "model.py",
            "while g >= deg and left:",
            "while g > deg and left:", ("tests/test_model.py", "-k", "OneFiringLoop")),
-    # the rounds engine
-    Mutant("rounds-budget-one-over", "model.py",
-           "            if total > left:",
-           "            if total > left + 1:", ROUNDS),
-    Mutant("rounds-firing-index-off-by-the-slot-start", "model.py",
-           "firing = np.repeat(fired[idx] - np.cumsum(cnt) + cnt, cnt) + np.arange(total)",
-           "firing = np.repeat(fired[idx] - np.cumsum(cnt), cnt) + np.arange(total)", ROUNDS),
+    # the side-sweep engine
+    Mutant("sweeps-budget-one-over", "model.py",
+           "        if bound > max_firings:",
+           "        if bound > max_firings + 1:", SWEEPS),
+    Mutant("sweeps-budget-not-strict", "model.py",
+           "        if bound > max_firings:",
+           "        if bound >= max_firings:", SWEEPS),
+    Mutant("sweeps-windows-from-firing-zero", "model.py",
+           "base[x][r, None].astype(np.uint64) + steps",
+           "0 * base[x][r, None].astype(np.uint64) + steps", SWEEPS),
+    Mutant("sweeps-rebase-off-by-one", "model.py",
+           "                base[x][full] += width",
+           "                base[x][full] += width + 1", SWEEPS),
+    Mutant("sweeps-sides-swapped-in-the-arrivals", "model.py",
+           "got = C[1 - x][rows[1 - x], pos[1 - x]].sum(0)",
+           "got = C[x][rows[x], pos[x]].sum(0)", SWEEPS),
+    Mutant("sweeps-sink-column-kept-in-the-arrivals", "model.py",
+           "return held[x] + (got[1:] if x == 0 else got)",
+           "return held[x] + (got[:-1] if x == 0 else got)", SWEEPS),
+    # the recurrence kernels
+    Mutant("np-verdicts-rowwise-strict", "recurrence.py",
+           "bool(np.all(sorted_b >= k))",
+           "bool(np.all(sorted_b > k))", ("tests/test_recurrence.py",)),
+    Mutant("counts-below-shifted-by-one", "recurrence.py",
+           "    return tuple(accumulate(hist))",
+           "    return (0, *accumulate(hist[:-1]))", ("tests/test_recurrence.py",)),
 )
 
 # (change, why it keeps every output); not run
 EQUIVALENT = (
-    ("_ROUND_MIN = 8 -> 1", "rounds and the stack fire the same unique odometer"),
+    ("_SWEEP_MIN = 16 -> 1", "the sweeps and the stack fire the same unique odometer"),
+    ("sweeps from the bottoms first", "every legal order climbs to the same unique odometer"),
+    ("_SWEEP_WINDOW, _SWEEP_BITS",
+     "they set how many firings a window covers, never a bit or a firing"),
     ("p = 1 threshold 2^64 -> 2^64 - 1",
      "a hash equal to 2^64 - 1 turns up with probability 2^-64"),
     ("_FIRST = 2 -> 1 or 3", "the table and bits_below draw the same bits"),

@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-import numpy  # noqa: F401  (loaded, so criterion 7's piles fire in numpy rounds)
+import numpy  # noqa: F401  (loaded, so criterion 7's piles sweep in numpy)
 import oracles
 from bipsand import (
     BipartiteShape,
@@ -353,7 +353,7 @@ def test_criterion_7_abelian_property(capsys):
                 if sum(tup) <= 3 * m * n:
                     break
             sto_inputs.append((tup[:m], tup[m:], oracle))
-    # piles that fire in numpy rounds before the stack takes over
+    # piles large enough to sweep the sides in numpy
     rng = random.Random(7)
     for seed in range(6):
         m, n = rng.randint(1, 6), rng.randint(1, 6)

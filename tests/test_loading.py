@@ -56,6 +56,31 @@ def test_chain_below_the_import_threshold_leaves_numpy_unloaded():
     assert _fresh(code).split() == ["True", "False", "False", "True"]
 
 
+def test_a_long_run_imports_numpy_once_it_has_run_that_far():
+    # 3 states read from a 10^6-step trajectory leave numpy unloaded; a run
+    # past _BLOCK_IMPORT steps loads it at that step and draws the rest of its
+    # bits from the table, the same bits as with numpy loaded throughout or
+    # with no table at all
+    code = (
+        "import sys\n"
+        "from itertools import islice\n"
+        "import bipsand.model as model\n"
+        "from bipsand import BipartiteShape, simulate, trajectory\n"
+        "shape = BipartiteShape(2, 2)\n"
+        "list(islice(trajectory('ssm', shape, 10**6, 1), 3))\n"
+        "print('numpy' in sys.modules)\n"
+        "table, calls = model._table_bits, []\n"
+        "model._table_bits = lambda *args: calls.append(1) or table(*args)\n"
+        "steps = model._BLOCK_IMPORT + 500\n"
+        "cold = simulate('ssm', shape, steps, 3)\n"
+        "print('numpy' in sys.modules, len(calls))\n"
+        "print(simulate('ssm', shape, steps, 3) == cold, len(calls))\n"
+        "model._BLOCK_DEGREE = 0\n"
+        "print(simulate('ssm', shape, steps, 3) == cold, len(calls))\n"
+    )
+    assert _fresh(code).split() == ["False", "True", "1", "True", "2", "True", "2"]
+
+
 def test_biject_loads_only_its_family():
     argv = ["biject", "--to", "ferrers", "0,2,2;2,2,2", "--model", "ssm"]
     modules = ("bipsand.ferrers", "bipsand.motzkin", "bipsand.polyomino")

@@ -430,7 +430,7 @@ class TestStochasticToppling:
 @functools.cache
 def _round_cases() -> tuple:
     """300 seeded (top, bottom, oracle, naive result) cases, m = 0 and p = 1
-    included; a third hold piles that take several rounds."""
+    included; a third hold piles that take several sweeps."""
     rng = random.Random(61)
     cases = []
     for trial in range(300):
@@ -445,26 +445,40 @@ def _round_cases() -> tuple:
     return tuple(cases)
 
 
+# the dynamics_ssm benchmark's stabilize piles: (m, n, grains, p, shares),
+# each share a (side, fraction) of the grains on one vertex of that side
+_BENCH_PILES = (
+    (5, 5, 1000, 0.5, (("top", 1.0),)),
+    (10, 15, 500, 0.3, (("top", 0.5), ("top", 0.5))),
+    (3, 20, 2000, 0.5, (("top", 1.0),)),
+    (20, 3, 600, 0.9, (("top", 0.4), ("top", 0.3), ("bottom", 0.3))),
+    (10, 10, 1000, 0.9, (("top", 0.5), ("bottom", 0.5))),
+    (15, 8, 500, 0.3, (("bottom", 1.0),)),
+)
+
+
 class TestRounds:
-    """A stock ToppleOracle fires in numpy rounds, then from the stack; both
-    settings below must give the naive oracle's state and firing counts:
-    every round batched (_ROUND_MIN = 1) and the default hand-off."""
+    """A stock ToppleOracle below p = 1 stabilizes in side sweeps (see
+    model._sweeps): each top fires until it is stable, then each bottom,
+    round after round.  Both settings below must give the naive oracle's
+    state and firing counts: the gate forced on (_SWEEP_MIN = 1) and the
+    default, which keeps small piles on the stack."""
 
     @pytest.fixture(params=[1, None], ids=["every-round", "default"])
     def rounds(self, request, monkeypatch):
-        """The list of calls of the rounds engine, as they happen."""
+        """The list of calls of the sweep engine, as they happen."""
         import bipsand.model
 
         if request.param is not None:
-            monkeypatch.setattr(bipsand.model, "_ROUND_MIN", request.param)
+            monkeypatch.setattr(bipsand.model, "_SWEEP_MIN", request.param)
         calls = []
-        engine = bipsand.model._rounds
+        engine = bipsand.model._sweeps
 
         def counted(*args):
             calls.append(args)
             return engine(*args)
 
-        monkeypatch.setattr(bipsand.model, "_rounds", counted)
+        monkeypatch.setattr(bipsand.model, "_sweeps", counted)
         return calls
 
     def test_matches_naive(self, rounds):
@@ -474,11 +488,11 @@ class TestRounds:
         assert len(rounds) > 60, len(rounds)
 
     def test_capped_rounds_match_naive(self, rounds, monkeypatch):
-        # rounds of a few firings each: a capped round fires a prefix of the
-        # legal firings, and the next round fires the rest
+        # windows of one firing on most shapes (a few on the smallest): slots
+        # reach their window's end and move it on many times a pile
         import bipsand.model
 
-        monkeypatch.setattr(bipsand.model, "_ROUND_BITS", 24)
+        monkeypatch.setattr(bipsand.model, "_SWEEP_BITS", 24)
         for top, bottom, oracle, want in _round_cases()[:100]:
             got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom), oracle)
             assert (got.top, got.bottom, ft, fb) == want, (top, bottom, oracle)
@@ -487,13 +501,40 @@ class TestRounds:
     def test_budget_boundary(self, rounds):
         for top, bottom, oracle in _budget_inputs():
             _check_budget_boundary(top, bottom, oracle)
-        # piles whose stall falls inside a round at the default setting too
+        # piles whose stall falls inside a sweep at the default setting too
         rng = random.Random(29)
         for trial in range(6):
             m, n = rng.randint(0, 5), rng.randint(1, 5)
             top = tuple(rng.randint(0, 60) for _ in range(m))
             _check_budget_boundary(top, (300,) * n, ToppleOracle(trial, 0.5))
         assert rounds
+
+    def test_no_top_vertices_and_full_probability(self, rounds):
+        # m = 0 sweeps the bottoms alone; at p = 1 every bit is 1, so a stock
+        # oracle's pile is asm's and never reaches the sweeps
+        for n, grains in ((1, 50), (3, 400), (7, 1000)):
+            c = Configuration.from_vectors((), (grains,) + (0,) * (n - 1))
+            oracle = ToppleOracle(n, 0.3)
+            got, (ft, fb) = stabilize_stochastic(c, oracle)
+            assert (got.top, got.bottom, ft, fb) == oracles.naive_stabilize_ssm(
+                (), c.bottom, oracle.bit)
+        assert len(rounds) == 3
+        for top, bottom in (((), (300, 0, 0, 0)), ((500, 0, 0), (0, 7, 0)), ((10**6, 0), (0, 0))):
+            c = Configuration.from_vectors(top, bottom)
+            assert stabilize_stochastic(c, ToppleOracle(3, 1.0)) == stabilize_deterministic(c)
+        assert len(rounds) == 3
+
+    def test_bench_piles_match_the_stack(self, rounds):
+        # a duck-typed oracle with the stock oracle's bits fires from the stack
+        for i, (m, n, grains, p, shares) in enumerate(_BENCH_PILES):
+            sides = {"top": [0] * m, "bottom": [0] * n}
+            for j, (side, share) in enumerate(shares):
+                sides[side][j] += int(grains * share)
+            c = Configuration.from_vectors(sides["top"], sides["bottom"])
+            stock = ToppleOracle(1000 + i, p)
+            assert stabilize_stochastic(c, stock) == stabilize_stochastic(
+                c, SimpleNamespace(bit=stock.bit))
+        assert len(rounds) == len(_BENCH_PILES)
 
     def test_overridden_bit_is_called_once_per_bit(self, rounds):
         # bench/golden.json's bit counts rest on this: a subclass is no stock oracle
@@ -513,14 +554,14 @@ class TestRounds:
         assert len(rounds) == 1  # the stock oracle's run only
 
     def test_lower_edge_of_the_gate(self, rounds):
-        # numpy is loaded here, so a first round of _ROUND_MIN firings (16
-        # grains on a K2,2 top vertex at the default) fires in rounds, and
-        # one of _ROUND_MIN - 1 firings (14 grains) on the stack alone
+        # numpy is loaded here, so a first round of _SWEEP_MIN firings (32
+        # grains on a K2,2 top vertex at the default) sweeps, and one of
+        # _SWEEP_MIN - 1 firings (30 grains) fires on the stack alone
         import bipsand.model
 
         oracle = ToppleOracle(5, 0.5)
         called = []
-        for first in (bipsand.model._ROUND_MIN - 1, bipsand.model._ROUND_MIN):
+        for first in (bipsand.model._SWEEP_MIN - 1, bipsand.model._SWEEP_MIN):
             top = (2 * first, 0)
             got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, (0, 0)), oracle)
             assert (got.top, got.bottom, ft, fb) == oracles.naive_stabilize_ssm(
@@ -529,8 +570,8 @@ class TestRounds:
         assert called == [0, 1]
 
     def test_custom_oracles_never_fire_in_rounds(self, rounds):
-        # a first round of _ROUND_IMPORT firings: a stock oracle fires it in
-        # rounds, a duck-typed oracle or a subclass on the stack
+        # a first round of _SWEEP_IMPORT firings: a stock oracle sweeps it, a
+        # duck-typed oracle or a subclass fires it from the stack
         import bipsand.model
 
         class Same(ToppleOracle):
@@ -538,7 +579,7 @@ class TestRounds:
                 return super().bit(vertex_code, firing, neighbor_code)
 
         stock = ToppleOracle(4, 0.5)
-        c = Configuration.from_vectors((2 * bipsand.model._ROUND_IMPORT, 0), (0, 0))
+        c = Configuration.from_vectors((2 * bipsand.model._SWEEP_IMPORT, 0), (0, 0))
         for oracle in (SimpleNamespace(bit=stock.bit), Same(4, 0.5)):
             assert stabilize_stochastic(c, oracle) == stabilize_stochastic(c, stock)
         assert len(rounds) == 2  # the two stock runs only

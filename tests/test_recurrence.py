@@ -28,7 +28,7 @@ from bipsand import (
     level,
     sort_config,
 )
-from bipsand.model import _ROUND_IMPORT
+from bipsand.model import _SWEEP_IMPORT
 from bipsand.recurrence import _NP_MIN, _dominates
 
 
@@ -560,9 +560,10 @@ _LARGE_TEXT = ",".join(["19990"] * 9) + ";" + ",".join(["9"] * 19991)
 
 
 class TestNumpyLoadedLazily:
-    """numpy is imported by the first check with m+n >= _NP_IMPORT, or the
-    first ssm stabilization whose first round reaches _ROUND_IMPORT, not
-    before."""
+    """numpy is imported by the first check with m+n >= _NP_IMPORT, the
+    first ssm stabilization whose first round reaches _SWEEP_IMPORT
+    firings (it then sweeps the sides in numpy), or the first ssm chain to
+    run _BLOCK_IMPORT steps, not before."""
 
     def test_import_leaves_numpy_unloaded(self):
         assert _fresh("import sys, bipsand, bipsand.cli; print('numpy' in sys.modules)") == "False\n"
@@ -576,7 +577,7 @@ class TestNumpyLoadedLazily:
         ["dag", "--model", "asm", "--m", "2", "--n", "2"],
         ["enumerate", "--m", "2", "--n", "2", "--recurrent", "--model", "asm"],
         ["census", "--m", "3", "--n", "3", "--model", "ssm"],
-        # a first round of 100 firings: rounds would not repay loading numpy
+        # a first round of 100 firings: sweeps would not repay loading numpy
         ["stabilize", "600,0,0,0,0,0;0,0,0,0,0,0", "--model", "ssm", "--seed", "5"],
         # above _NP_MIN: the check takes a few ms, importing numpy about 0.15 s
         ["check", _LARGE_TEXT, "--model", "asm"],
@@ -621,9 +622,9 @@ class TestNumpyLoadedLazily:
         assert _fresh(code) == "True False False\nTrue True True\n"
 
     def test_first_large_pile_loads_numpy(self):
-        # K2,2 piles with first rounds of _ROUND_IMPORT - 1 and _ROUND_IMPORT
+        # K2,2 piles with first rounds of _SWEEP_IMPORT - 1 and _SWEEP_IMPORT
         # firings: only the second loads numpy, and both match the naive oracle
-        piles = [(2 * _ROUND_IMPORT - 2, 0), (2 * _ROUND_IMPORT, 1)]
+        piles = [(2 * _SWEEP_IMPORT - 2, 0), (2 * _SWEEP_IMPORT, 1)]
         code = (
             "import sys\n"
             "from bipsand import Configuration, ToppleOracle, stabilize_stochastic\n"
