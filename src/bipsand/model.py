@@ -51,8 +51,8 @@ _MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
 # numpy loaded, sweeps do not repay their fixed cost below _SWEEP_MIN, and
 # loading numpy costs a fresh process about 0.19 s, more than sweeps save
 # below _SWEEP_IMPORT.  A slot's window of bits covers at most _SWEEP_WINDOW
-# firings, and all windows together at most _SWEEP_BITS bits, whatever the
-# grain count.  CHANGES.md has the timings.
+# firings, and a side's windows together at most _SWEEP_BITS bits (or one
+# firing each), whatever the grain count.  CHANGES.md has the timings.
 _SWEEP_MIN = 16
 _SWEEP_IMPORT = 1000
 _SWEEP_BITS = 1 << 16
@@ -492,33 +492,48 @@ def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings:
     given the other side's firings so far, until a turn after the first
     fires nothing.  Every firing is legal when it happens, so by the least
     action principle the counts climb to the stack's unique odometer.  A
-    slot's window holds its bits for firings base..base+W-1 (drawn once it
-    first holds deg grains) as counts by neighbour, cumulative over the
-    window (C) and summed (S): holding h grains at base, the slot fires
+    slot gets a window once it first holds deg grains: its bits for firings
+    base..base+W-1 as counts by neighbour, cumulative over the window (C)
+    and summed (S).  Holding h grains at base, it fires
     base + #{j < W : S[j] <= h - deg} times, and at the window's end moves
-    it on.  Each move, and the end, checks the budget (see tally).
+    the window on.  A side's windows hold at most _SWEEP_BITS bits together,
+    so W narrows as slots join.  Each move, and the end, checks the budget
+    (see tally).
     """
-    deg, rows = (n, m + 1), (np.arange(m), np.arange(n))
+    deg = (n, m + 1)
     codes, *words = _table(m, n)[2:]
     words = [np.array(w, np.uint64) for w in words]
-    width = max(1, min(_SWEEP_WINDOW, _SWEEP_BITS // ((m + n) * max(n, m + 1))))
-    steps, below = np.arange(width, dtype=np.uint64), np.uint64(oracle._threshold)
-    # by side: grains at the bases, key prefixes, bases, firings past them
+    below = np.uint64(oracle._threshold)
+    pa = np.array([fold(oracle._prefix, c) for c in codes[:-1]], np.uint64)
+    pa = [pa[:m], pa[m:]]
+    # by side: each slot's grains at its base; by window, its slot, base,
+    # position, rows 0..k-1 and counts; the width W
     held = [np.array(grains[:m], np.int64), np.array(grains[m:-1], np.int64)]
-    pa = [np.array([fold(oracle._prefix, c) for c in part], np.uint64)
-          for part in (codes[:m], codes[m:-1])]
-    base = [np.zeros(len(h), np.int64) for h in held]
-    pos = [np.zeros(len(h), np.int64) for h in held]
-    C = [np.zeros((len(h), width + 1, d), np.int64) for h, d in zip(held, deg)]
-    S = [np.zeros((len(h), width + 1), np.int64) for h in held]
-    drawn, lazy = [np.zeros(len(h), bool) for h in held], [True, True]
+    ids, base, pos, rows = ([np.zeros(0, np.int64), np.zeros(0, np.int64)] for _ in range(4))
+    C, S = [np.zeros((0, 1, d), np.int64) for d in deg], [np.zeros((0, 1), np.int64)] * 2
+    width, drawn = [0, 0], [np.zeros(m, bool), np.zeros(n, bool)]
 
     def draw(x, r):
-        """Draw side x's windows of the slots r, from their bases."""
-        acc = fold_array(pa[x][r, None], base[x][r, None].astype(np.uint64) + steps)
+        """Draw side x's windows r, from their bases."""
+        f = base[x][r, None].astype(np.uint64) + np.arange(width[x], dtype=np.uint64)
+        acc = fold_array(pa[x][ids[x][r], None], f)
         C[x][r, 1:] = below_array(acc[..., None], words[x], below).cumsum(1)
         S[x][r] = C[x][r].sum(2)
-        drawn[x][r] = True
+
+    def grow(x, new):
+        """Give side x's slots new windows; where W narrows, every window of
+        the side is drawn again from its base (positions are counted anew)."""
+        k, d = len(ids[x]) + len(new), deg[x]
+        w = max(1, min(_SWEEP_WINDOW, _SWEEP_BITS // (k * d)))
+        keep = len(ids[x]) if w == width[x] else 0
+        c, t = np.zeros((k, w + 1, d), np.int64), np.zeros((k, w + 1), np.int64)
+        if keep:
+            c[:keep], t[:keep] = C[x], S[x]
+        ids[x] = np.concatenate((ids[x], new))
+        base[x] = np.concatenate((base[x], np.zeros(len(new), np.int64)))
+        C[x], S[x], pos[x], width[x], rows[x] = c, t, np.zeros(k, np.int64), w, np.arange(k)
+        drawn[x][new] = True
+        draw(x, rows[x][keep:])
 
     def have(x):
         """Side x's grains at its bases, plus arrivals from the other side's
@@ -529,9 +544,12 @@ def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings:
     def tally():
         """Write both sides' grains back; stall once the firings so far plus
         sum(grains // deg), a lower bound of the odometer, exceed the budget."""
-        now = [have(x) - S[x][rows[x], pos[x]] for x in (0, 1)]
+        now = [have(0), have(1)]
+        bound = 0
+        for x in (0, 1):
+            now[x][ids[x]] -= S[x][rows[x], pos[x]]
+            bound += int((base[x] + pos[x]).sum() + (now[x] // deg[x]).sum())
         grains[:-1] = [*now[0].tolist(), *now[1].tolist()]
-        bound = sum(int((base[x] + pos[x] + now[x] // deg[x]).sum()) for x in (0, 1))
         if bound > max_firings:
             raise _stall(grains, m, n, oracle.p, max_firings)
 
@@ -539,31 +557,32 @@ def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings:
         x = turn = 0
         while True:
             h = have(x)
-            if lazy[x] and (new := np.flatnonzero((h >= deg[x]) > drawn[x])).size:
-                draw(x, new)
-                lazy[x] = not drawn[x].all()
+            if len(ids[x]) < len(h) and (new := np.flatnonzero((h >= deg[x]) > drawn[x])).size:
+                grow(x, new)
             moved = False
             while True:
-                count = (S[x][:, :width] <= (h - deg[x])[:, None]).sum(1)
-                if count.max(initial=0) < width:
+                count = (S[x][:, :width[x]] <= (h[ids[x]] - deg[x])[:, None]).sum(1)
+                if count.max(initial=-1) < width[x]:  # -1: a side with no windows yet
                     break
                 moved = True
-                full = np.flatnonzero(count == width)
-                h[full] -= S[x][full, width]
-                held[x][full] -= S[x][full, width]
-                sent = C[x][full, width].sum(0)
+                full = np.flatnonzero(count == width[x])
+                held[x][ids[x][full]] -= S[x][full, -1]
+                sent = C[x][full, -1].sum(0)
                 held[1 - x] += sent[1:] if x else sent
-                base[x][full] += width
+                base[x][full] += width[x]
                 count[full] = 0
                 pos[x] = count
                 draw(x, full)
+                h = have(x)
                 tally()
             if turn and not moved and not (count - pos[x]).any():
                 break
             pos[x] = count
             x, turn = 1 - x, turn + 1
         tally()
-    return [*(base[0] + pos[0]).tolist(), *(base[1] + pos[1]).tolist()]
+    fired = np.zeros(m + n, np.int64)
+    fired[ids[0]], fired[m + ids[1]] = base[0] + pos[0], base[1] + pos[1]
+    return fired.tolist()
 
 
 def stabilize_stochastic(

@@ -99,11 +99,14 @@ MUTANTS = (
            "        if bound > max_firings:",
            "        if bound >= max_firings:", SWEEPS),
     Mutant("sweeps-windows-from-firing-zero", "model.py",
-           "base[x][r, None].astype(np.uint64) + steps",
-           "0 * base[x][r, None].astype(np.uint64) + steps", SWEEPS),
+           "f = base[x][r, None].astype(np.uint64) + np.arange(",
+           "f = 0 * base[x][r, None].astype(np.uint64) + np.arange(", SWEEPS),
     Mutant("sweeps-rebase-off-by-one", "model.py",
-           "                base[x][full] += width",
-           "                base[x][full] += width + 1", SWEEPS),
+           "                base[x][full] += width[x]",
+           "                base[x][full] += width[x] + 1", SWEEPS),
+    Mutant("sweeps-narrowed-windows-not-drawn-again", "model.py",
+           "        draw(x, rows[x][keep:])",
+           "        draw(x, rows[x][k - len(new):])", SWEEPS),
     Mutant("sweeps-sides-swapped-in-the-arrivals", "model.py",
            "got = C[1 - x][rows[1 - x], pos[1 - x]].sum(0)",
            "got = C[x][rows[x], pos[x]].sum(0)", SWEEPS),
@@ -123,6 +126,8 @@ MUTANTS = (
 EQUIVALENT = (
     ("_SWEEP_MIN = 16 -> 1", "the sweeps and the stack fire the same unique odometer"),
     ("sweeps from the bottoms first", "every legal order climbs to the same unique odometer"),
+    ("narrowed windows restarted at their slots' firings, not their bases",
+     "positions are counted anew from the bases, so both starts give the same firings"),
     ("_SWEEP_WINDOW, _SWEEP_BITS",
      "they set how many firings a window covers, never a bit or a firing"),
     ("p = 1 threshold 2^64 -> 2^64 - 1",

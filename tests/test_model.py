@@ -488,14 +488,17 @@ class TestRounds:
         assert len(rounds) > 60, len(rounds)
 
     def test_capped_rounds_match_naive(self, rounds, monkeypatch):
-        # windows of one firing on most shapes (a few on the smallest): slots
-        # reach their window's end and move it on many times a pile
+        # windows of one firing on most shapes (a few on the smallest) at 24
+        # bits: slots reach their window's end and move it on many times a
+        # pile; at 256 bits, windows narrow as slots join, below the firings
+        # that the side's first slots have taken in them
         import bipsand.model
 
-        monkeypatch.setattr(bipsand.model, "_SWEEP_BITS", 24)
-        for top, bottom, oracle, want in _round_cases()[:100]:
-            got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom), oracle)
-            assert (got.top, got.bottom, ft, fb) == want, (top, bottom, oracle)
+        for bits in (24, 256):
+            monkeypatch.setattr(bipsand.model, "_SWEEP_BITS", bits)
+            for top, bottom, oracle, want in _round_cases()[:100]:
+                got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom), oracle)
+                assert (got.top, got.bottom, ft, fb) == want, (top, bottom, oracle, bits)
         assert rounds
 
     def test_budget_boundary(self, rounds):
