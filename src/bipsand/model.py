@@ -510,7 +510,7 @@ def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings:
     # position, rows 0..k-1 and counts; the width W
     held = [np.array(grains[:m], np.int64), np.array(grains[m:-1], np.int64)]
     ids, base, pos, rows = ([np.zeros(0, np.int64), np.zeros(0, np.int64)] for _ in range(4))
-    C, S = [np.zeros((0, 1, d), np.int64) for d in deg], [np.zeros((0, 1), np.int64)] * 2
+    C, S = [np.zeros((0, 1, d), np.int64) for d in deg], [np.zeros((0, 1), np.int64) for d in deg]
     width, drawn = [0, 0], [np.zeros(m, bool), np.zeros(n, bool)]
 
     def draw(x, r):
