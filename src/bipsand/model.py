@@ -52,7 +52,8 @@ _MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
 # loading numpy costs a fresh process about 0.19 s, more than sweeps save
 # below _SWEEP_IMPORT.  A slot's window of bits covers at most _SWEEP_WINDOW
 # firings, and a side's windows together at most _SWEEP_BITS bits (or one
-# firing each), whatever the grain count.  CHANGES.md has the timings.
+# firing of one slot), whatever the grain count and the shape.  CHANGES.md
+# has the timings.
 _SWEEP_MIN = 16
 _SWEEP_IMPORT = 1000
 _SWEEP_BITS = 1 << 16
@@ -491,14 +492,16 @@ def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings:
     The sides take turns, tops first, each slot firing until it is stable
     given the other side's firings so far, until a turn after the first
     fires nothing.  Every firing is legal when it happens, so by the least
-    action principle the counts climb to the stack's unique odometer.  A
-    slot gets a window once it first holds deg grains: its bits for firings
-    base..base+W-1 as counts by neighbour, cumulative over the window (C)
-    and summed (S).  Holding h grains at base, it fires
-    base + #{j < W : S[j] <= h - deg} times, and at the window's end moves
-    the window on.  A side's windows hold at most _SWEEP_BITS bits together,
-    so W narrows as slots join.  Each move, and the end, checks the budget
-    (see tally).
+    action principle the counts climb to the stack's unique odometer.  An
+    unstable slot gets a window: its bits for firings base..base+W-1 as
+    counts by neighbour, cumulative over the window (C) and summed (S).
+    Holding h grains at base, it fires base + #{j < W : S[j] <= h - deg}
+    times, and at the window's end moves the window on.  A side keeps at
+    most max(1, _SWEEP_BITS // deg) windows of W = _SWEEP_BITS // (k deg)
+    firings for k windows (at least one), so no array outgrows
+    max(_SWEEP_BITS, deg) bits.  Past that many, its stable windows are
+    dropped and its slots fire in chunks: slots of one side never feed each
+    other.  Each move, and the end, checks the budget (see tally).
     """
     deg = (n, m + 1)
     codes, *words = _table(m, n)[2:]
@@ -506,34 +509,54 @@ def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings:
     below = np.uint64(oracle._threshold)
     pa = np.array([fold(oracle._prefix, c) for c in codes[:-1]], np.uint64)
     pa = [pa[:m], pa[m:]]
-    # by side: each slot's grains at its base; by window, its slot, base,
-    # position, rows 0..k-1 and counts; the width W
+    # by side: each slot's grains and firings at its window's base; each
+    # window's slot, position and counts, and rows 0..k-1; the width W
     held = [np.array(grains[:m], np.int64), np.array(grains[m:-1], np.int64)]
-    ids, base, pos, rows = ([np.zeros(0, np.int64), np.zeros(0, np.int64)] for _ in range(4))
+    base = [np.zeros(m, np.int64), np.zeros(n, np.int64)]
+    ids, pos, rows = ([np.zeros(0, np.int64), np.zeros(0, np.int64)] for _ in range(3))
     C, S = [np.zeros((0, 1, d), np.int64) for d in deg], [np.zeros((0, 1), np.int64) for d in deg]
-    width, drawn = [0, 0], [np.zeros(m, bool), np.zeros(n, bool)]
+    width = [0, 0]
 
     def draw(x, r):
         """Draw side x's windows r, from their bases."""
-        f = base[x][r, None].astype(np.uint64) + np.arange(width[x], dtype=np.uint64)
-        acc = fold_array(pa[x][ids[x][r], None], f)
+        s = ids[x][r]
+        f = base[x][s, None].astype(np.uint64) + np.arange(width[x], dtype=np.uint64)
+        acc = fold_array(pa[x][s, None], f)
         C[x][r, 1:] = below_array(acc[..., None], words[x], below).cumsum(1)
         S[x][r] = C[x][r].sum(2)
 
-    def grow(x, new):
-        """Give side x's slots new windows; where W narrows, every window of
-        the side is drawn again from its base (positions are counted anew)."""
-        k, d = len(ids[x]) + len(new), deg[x]
+    def rebase(x, r):
+        """Move the bases of side x's windows r to their positions."""
+        at, s = pos[x][r], ids[x][r]
+        held[x][s] -= S[x][r, at]
+        sent = C[x][r, at].sum(0)
+        held[1 - x] += sent[1:] if x else sent
+        base[x][s] += at
+        pos[x][r] = 0
+
+    def grow(x, new, h):
+        """Give side x's unstable slots new (grains at base h) windows, as
+        many as fit once the stable windows are dropped; True if some are
+        left out.  Where W changes, every window is rebased and redrawn."""
+        d, keep, todo = deg[x], rows[x], len(new)
+        cap = max(1, _SWEEP_BITS // d)
+        if len(keep) + todo > cap:
+            busy = h[ids[x]] - S[x][keep, pos[x]] >= d
+            rebase(x, keep[~busy])
+            keep = keep[busy]
+            new = new[:cap - len(keep)]
+        k = len(keep) + len(new)
         w = max(1, min(_SWEEP_WINDOW, _SWEEP_BITS // (k * d)))
-        keep = len(ids[x]) if w == width[x] else 0
-        c, t = np.zeros((k, w + 1, d), np.int64), np.zeros((k, w + 1), np.int64)
-        if keep:
-            c[:keep], t[:keep] = C[x], S[x]
-        ids[x] = np.concatenate((ids[x], new))
-        base[x] = np.concatenate((base[x], np.zeros(len(new), np.int64)))
-        C[x], S[x], pos[x], width[x], rows[x] = c, t, np.zeros(k, np.int64), w, np.arange(k)
-        drawn[x][new] = True
-        draw(x, rows[x][keep:])
+        c, t, at = np.zeros((k, w + 1, d), np.int64), np.zeros((k, w + 1), np.int64), np.zeros(k, np.int64)
+        kept = len(keep) if w == width[x] else 0
+        if kept:
+            c[:kept], t[:kept], at[:kept] = C[x][keep], S[x][keep], pos[x][keep]
+        else:
+            rebase(x, keep)
+        ids[x] = np.concatenate((ids[x][keep], new))
+        C[x], S[x], pos[x], width[x], rows[x] = c, t, at, w, np.arange(k)
+        draw(x, rows[x][kept:])
+        return len(new) < todo
 
     def have(x):
         """Side x's grains at its bases, plus arrivals from the other side's
@@ -548,7 +571,7 @@ def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings:
         bound = 0
         for x in (0, 1):
             now[x][ids[x]] -= S[x][rows[x], pos[x]]
-            bound += int((base[x] + pos[x]).sum() + (now[x] // deg[x]).sum())
+            bound += int(base[x].sum() + pos[x].sum() + (now[x] // deg[x]).sum())
         grains[:-1] = [*now[0].tolist(), *now[1].tolist()]
         if bound > max_firings:
             raise _stall(grains, m, n, oracle.p, max_firings)
@@ -556,33 +579,34 @@ def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings:
     with np.errstate(over="ignore"):
         x = turn = 0
         while True:
-            h = have(x)
-            if len(ids[x]) < len(h) and (new := np.flatnonzero((h >= deg[x]) > drawn[x])).size:
-                grow(x, new)
-            moved = False
-            while True:
-                count = (S[x][:, :width[x]] <= (h[ids[x]] - deg[x])[:, None]).sum(1)
-                if count.max(initial=-1) < width[x]:  # -1: a side with no windows yet
-                    break
-                moved = True
-                full = np.flatnonzero(count == width[x])
-                held[x][ids[x][full]] -= S[x][full, -1]
-                sent = C[x][full, -1].sum(0)
-                held[1 - x] += sent[1:] if x else sent
-                base[x][full] += width[x]
-                count[full] = 0
+            quiet, more = turn > 0, True
+            while more:
+                h, more = have(x), False
+                if len(ids[x]) < len(h):
+                    unpooled = h >= deg[x]
+                    unpooled[ids[x]] = False
+                    if (new := np.flatnonzero(unpooled)).size:
+                        quiet, more = False, grow(x, new, h)
+                        h = have(x)
+                while True:
+                    count = (S[x][:, :width[x]] <= (h[ids[x]] - deg[x])[:, None]).sum(1)
+                    if count.max(initial=-1) < width[x]:  # -1: a side with no windows yet
+                        break
+                    quiet, pos[x] = False, count
+                    full = np.flatnonzero(count == width[x])
+                    rebase(x, full)
+                    draw(x, full)
+                    h = have(x)
+                    tally()
+                quiet = quiet and not (count - pos[x]).any()
                 pos[x] = count
-                draw(x, full)
-                h = have(x)
-                tally()
-            if turn and not moved and not (count - pos[x]).any():
+            if quiet:
                 break
-            pos[x] = count
             x, turn = 1 - x, turn + 1
         tally()
-    fired = np.zeros(m + n, np.int64)
-    fired[ids[0]], fired[m + ids[1]] = base[0] + pos[0], base[1] + pos[1]
-    return fired.tolist()
+    for x in (0, 1):
+        base[x][ids[x]] += pos[x]
+    return [*base[0].tolist(), *base[1].tolist()]
 
 
 def stabilize_stochastic(

@@ -99,14 +99,20 @@ MUTANTS = (
            "        if bound > max_firings:",
            "        if bound >= max_firings:", SWEEPS),
     Mutant("sweeps-windows-from-firing-zero", "model.py",
-           "f = base[x][r, None].astype(np.uint64) + np.arange(",
-           "f = 0 * base[x][r, None].astype(np.uint64) + np.arange(", SWEEPS),
+           "f = base[x][s, None].astype(np.uint64) + np.arange(",
+           "f = 0 * base[x][s, None].astype(np.uint64) + np.arange(", SWEEPS),
     Mutant("sweeps-rebase-off-by-one", "model.py",
-           "                base[x][full] += width[x]",
-           "                base[x][full] += width[x] + 1", SWEEPS),
+           "        base[x][s] += at",
+           "        base[x][s] += at + 1", SWEEPS),
     Mutant("sweeps-narrowed-windows-not-drawn-again", "model.py",
-           "        draw(x, rows[x][keep:])",
-           "        draw(x, rows[x][k - len(new):])", SWEEPS),
+           "        draw(x, rows[x][kept:])",
+           "        draw(x, rows[x][len(keep):])", SWEEPS),
+    Mutant("sweeps-unstable-windows-dropped", "model.py",
+           "busy = h[ids[x]] - S[x][keep, pos[x]] >= d",
+           "busy = h[ids[x]] - S[x][keep, pos[x]] > d", SWEEPS),
+    Mutant("sweeps-slots-left-out-of-a-chunk-wait", "model.py",
+           "quiet, more = False, grow(x, new, h)",
+           "quiet, more = False, grow(x, new, h) and False", SWEEPS),
     Mutant("sweeps-sides-swapped-in-the-arrivals", "model.py",
            "got = C[1 - x][rows[1 - x], pos[1 - x]].sum(0)",
            "got = C[x][rows[x], pos[x]].sum(0)", SWEEPS),
@@ -126,10 +132,11 @@ MUTANTS = (
 EQUIVALENT = (
     ("_SWEEP_MIN = 16 -> 1", "the sweeps and the stack fire the same unique odometer"),
     ("sweeps from the bottoms first", "every legal order climbs to the same unique odometer"),
-    ("narrowed windows restarted at their slots' firings, not their bases",
+    ("rewidened windows drawn again from their old bases, not rebased",
      "positions are counted anew from the bases, so both starts give the same firings"),
     ("_SWEEP_WINDOW, _SWEEP_BITS",
-     "they set how many firings a window covers, never a bit or a firing"),
+     "they set how many firings a window covers and how many windows a side "
+     "keeps, never a bit or a firing"),
     ("p = 1 threshold 2^64 -> 2^64 - 1",
      "a hash equal to 2^64 - 1 turns up with probability 2^-64"),
     ("_FIRST = 2 -> 1 or 3", "the table and bits_below draw the same bits"),

@@ -491,15 +491,40 @@ class TestRounds:
         # windows of one firing on most shapes (a few on the smallest) at 24
         # bits: slots reach their window's end and move it on many times a
         # pile; at 256 bits, windows narrow as slots join, below the firings
-        # that the side's first slots have taken in them
+        # that the side's first slots have taken in them.  The dense piles,
+        # every vertex at one to three times its degree, have more unstable
+        # slots than the 24 // deg windows a side keeps at 24 bits, so their
+        # sides fire in chunks and drop their stable windows
         import bipsand.model
 
+        dense = []
+        for m, n, p in ((6, 6, 0.5), (9, 4, 0.3), (3, 12, 0.9), (12, 2, 0.5)):
+            top = tuple(n * (1 + i % 3) + i % 2 for i in range(m))
+            bottom = tuple((m + 1) * (1 + j % 3) + j % 2 for j in range(n))
+            oracle = ToppleOracle(m * n, p)
+            dense.append((top, bottom, oracle, oracles.naive_stabilize_ssm(top, bottom, oracle.bit)))
         for bits in (24, 256):
             monkeypatch.setattr(bipsand.model, "_SWEEP_BITS", bits)
-            for top, bottom, oracle, want in _round_cases()[:100]:
+            for top, bottom, oracle, want in (*_round_cases()[:100], *dense):
                 got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom), oracle)
                 assert (got.top, got.bottom, ft, fb) == want, (top, bottom, oracle, bits)
         assert rounds
+
+    def test_windows_stay_bounded_on_a_large_graph(self, rounds):
+        # 400 tops of degree 400 all fire at once: a side keeps at most
+        # 2^16 // 400 = 163 windows of one firing (about 1 MB of counts), so
+        # no array grows with the 400 * 400 bits of one firing each
+        c = Configuration.from_vectors((400,) * 400, (0,) * 400)
+        oracle = ToppleOracle(3, 0.5)
+        tracemalloc.start()
+        try:
+            got = stabilize_stochastic(c, oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
+        assert got == stabilize_stochastic(c, SimpleNamespace(bit=oracle.bit))
+        assert len(rounds) == 1
 
     def test_budget_boundary(self, rounds):
         for top, bottom, oracle in _budget_inputs():
