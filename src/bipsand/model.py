@@ -12,18 +12,18 @@ runs are reproducible because every coin flip is a committed bit: a pure
 function of (seed, p, vertex, firing index, neighbour).  So neither rule
 has a toppling order to choose: the stable result is unique.
 
-asm stabilization solves for the firing totals directly, by one kernel
-(the least-action odometer) that the chain calls too, and so does ssm with
-a stock ToppleOracle at p = 1.  Below p = 1, a stock oracle's pile sweeps
-the two sides in turn in numpy: each vertex of one side fires until it is
-stable, its bits read from windows drawn for many firings at once.  Piles
-_numpy keeps in Python and other oracles fire from one stack, one firing
-at a time: the one firing loop, which single topplings of either rule
-also run.  The grain-addition chain keeps one grain list for a whole
-run, settling each step by that stack or the odometer: bit for bit
-markov_step's.  No ssm chain bit depends on the state, so where _numpy
-gives numpy, the stack reads the bits of a step's first firings from a
-table drawn in numpy for a block of steps at once.
+asm solves for the firing totals directly, by one kernel (the least-action
+odometer), and so does ssm at p = 1, every bit 1, under its firing budget:
+a stock ToppleOracle's pile and every step of a p = 1 chain.  Below p = 1,
+a stock oracle's pile sweeps the two sides in turn in numpy: each vertex
+of one side fires until it is stable, its bits read from windows drawn
+for many firings at once.  Piles _numpy keeps in Python and other oracles
+fire from one stack, one firing at a time: the one firing loop, which
+single topplings of either rule also run.  The grain-addition chain keeps
+one grain list for a whole run, settling each step by that stack or the
+odometer: bit for bit markov_step's.  No ssm chain bit depends on the
+state, so where _numpy gives numpy, the stack reads the bits of a step's
+first firings from a table drawn in numpy for a block of steps at once.
 """
 from __future__ import annotations
 
@@ -772,18 +772,21 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
     a grain at slot prf64(seed, DOMAIN_CHOICE, t) % (m + n), then topples by
     the odometer (asm, threshold None) or with the bits of
     ToppleOracle(prf64(seed, DOMAIN_STEP, t), p), whose threshold is given.
-    prf64 is a left fold, so both keys extend a prefix folded once a run.
-    Where _numpy gives numpy, from the start or once the steps run reach
-    _BLOCK_IMPORT, an ssm step's first firings read their bits from a table
-    drawn for a block of steps at once (see _table_bits)."""
+    At p = 1 (threshold 2^64) every bit is 1, so an ssm step topples by the
+    odometer too, stalling past max_firings, and asks _numpy nothing.  prf64
+    is a left fold, so both keys extend a prefix folded once a run.  Below
+    p = 1, where _numpy gives numpy, from the start or once the steps run
+    reach _BLOCK_IMPORT, an ssm step's first firings read their bits from a
+    table drawn for a block of steps at once (see _table_bits)."""
     m, n = shape.m, shape.n
     size = m + n
     grains = [0] * size + [n + 1]  # the sink's entry above n (see _settle)
     choice, step = prf64(seed, DOMAIN_CHOICE), prf64(seed, DOMAIN_STEP)
     top, bottom = (0,) * m, (0,) * n
     yield top, bottom
+    odometer = threshold is None or threshold >> 64
     np = switch = None
-    if threshold is not None and max(n, m + 1) <= _BLOCK_DEGREE:
+    if not odometer and max(n, m + 1) <= _BLOCK_DEGREE:
         # the table from the start if numpy is loaded (a load threshold past
         # the run imports nothing), else from the step that reaches _BLOCK_IMPORT
         np = _numpy(steps, _BLOCK_MIN, steps + 1)
@@ -804,8 +807,10 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
         else:
             bottom = tuple(grains[m:size])
         if grains[s] == (n if s < m else m + 1):
-            if threshold is None:
-                (top, bottom), _ = _odometer(top, bottom, m, n)
+            if odometer:
+                (top, bottom), fired = _odometer(top, bottom, m, n)
+                if threshold is not None and sum(fired[0]) + sum(fired[1]) > max_firings:
+                    raise _stall(grains, m, n, p, max_firings)
                 grains[:size] = top + bottom
             else:
                 if not _settle(grains, [0] * size, [s], m, n, bits_at(t), max_firings):
@@ -833,11 +838,8 @@ def _table_bits(np, step: int, steps: int, m: int, n: int, threshold: int):
     most max(t, _BLOCK_MIN) steps and _BLOCK_BITS bits, so a short read of a
     long run draws little.  Each slot's neighbour words are padded to the
     wider side's: the bits past its degree mean nothing, and its lookup
-    repeats past them.  At p = 1 every bit is 1, and nothing is drawn.
+    repeats past them.  p is below 1: the chain runs p = 1 on the odometer.
     """
-    if threshold >> 64:  # p = 1, whose threshold 2^64 fits no uint64
-        ones = [(True,) * n] * m + [(True,) * (m + 1)] * n
-        return lambda t: lambda s, firing: ones[s]
     codes, top_words, bottom_words = _table(m, n)[2:]
     size, width = m + n, max(n, m + 1)
     words = [top_words] * m + [bottom_words] * n

@@ -61,9 +61,6 @@ MUTANTS = (
     Mutant("table-mask-bit-order-reversed", "model.py",
            "return tuple(bytes(bits[::-1]) for bits in product((0, 1), repeat=degree))",
            "return tuple(bytes(bits) for bits in product((0, 1), repeat=degree))", TABLE_BITS),
-    Mutant("table-p1-branch-dropped", "model.py",
-           "    if threshold >> 64:  # p = 1, whose threshold 2^64 fits no uint64",
-           "    if False:", CHAIN_TABLE),
     Mutant("table-masks-from-step-t-plus-1", "model.py",
            "np.arange(t, t + count, dtype=np.uint64)",
            "np.arange(t + 1, t + count + 1, dtype=np.uint64)", TABLE_BITS),
@@ -77,6 +74,15 @@ MUTANTS = (
            "np = _numpy(steps, _BLOCK_MIN, steps + 1)",
            "np = _numpy(steps, _BLOCK_MIN, _BLOCK_IMPORT)",
            ("tests/test_loading.py", "-k", "long_run")),
+    # the chain at p = 1, on the odometer
+    Mutant("chain-p1-budget-not-strict", "model.py",
+           "if threshold is not None and sum(fired[0]) + sum(fired[1]) > max_firings:",
+           "if threshold is not None and sum(fired[0]) + sum(fired[1]) >= max_firings:",
+           ("tests/test_model.py", "-k", "busiest")),
+    Mutant("chain-p1-fires-one-firing-at-a-time", "model.py",
+           "odometer = threshold is None or threshold >> 64",
+           "odometer = threshold is None",
+           ("tests/test_model.py", "-k", "full_probability_chain")),
     # the four of the catalogue's first prototype
     Mutant("dominates-prefix-sums-from-the-second-entry", "recurrence.py",
            "return all(map(ge, accumulate(upper), accumulate(lower)))",
@@ -119,6 +125,28 @@ MUTANTS = (
     Mutant("sweeps-sink-column-kept-in-the-arrivals", "model.py",
            "return held[x] + (got[1:] if x == 0 else got)",
            "return held[x] + (got[:-1] if x == 0 else got)", SWEEPS),
+    # the committed bits, the witness searches, the census and the inverses
+    Mutant("bits-below-second-shift-off-by-one", "_prf.py",
+           "        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK",
+           "        x = ((x ^ (x >> 28)) * 0x94D049BB133111EB) & _MASK",
+           ("tests/test_oracle_bits.py", "-k", "batched_bits")),
+    Mutant("witness-ssm-violation-not-strict", "recurrence.py",
+           "                if s_a + s_b < 0:",
+           "                if s_a + s_b <= 0:", ("tests/test_recurrence.py", "-k", "witness")),
+    Mutant("witness-asm-top-set-one-short", "recurrence.py",
+           "a_len = max(c.bottom[j - 1] for j in b_set) + 1",
+           "a_len = max(c.bottom[j - 1] for j in b_set)",
+           ("tests/test_recurrence.py", "-k", "witness")),
+    Mutant("census-walks-strictly-increasing", "enumeration.py",
+           "for k2 in range(ke if r < steps else m, m + 1):",
+           "for k2 in range(ke + 1 if r < steps else m, m + 1):",
+           ("tests/test_enumeration.py", "-k", "Census")),
+    Mutant("pair-to-config-top-from-the-second-count", "ferrers.py",
+           "top = counts_below(first.rows, m + 1)[:m]",
+           "top = counts_below(first.rows, m + 1)[1:]", ("tests/test_ferrers.py",)),
+    Mutant("polyomino-to-config-heights-not-lowered", "polyomino.py",
+           "tuple(h - 1 for h in heights[:m]),",
+           "tuple(h for h in heights[:m]),", ("tests/test_polyomino.py",)),
     # the recurrence kernels
     Mutant("np-verdicts-rowwise-strict", "recurrence.py",
            "bool(np.all(sorted_b >= k))",
@@ -139,6 +167,9 @@ EQUIVALENT = (
      "keeps, never a bit or a firing"),
     ("p = 1 threshold 2^64 -> 2^64 - 1",
      "a hash equal to 2^64 - 1 turns up with probability 2^-64"),
+    ("bits_below's last shift x >> 31 -> x >> 30",
+     "it changes only the low 34 bits of a hash, which decide its comparison "
+     "with a threshold with probability about 2^-30"),
     ("_FIRST = 2 -> 1 or 3", "the table and bits_below draw the same bits"),
     ("_BLOCK_MIN, _BLOCK_IMPORT, _BLOCK_BITS, _BLOCK_DEGREE",
      "they choose where the table runs and how far it draws, never a bit"),

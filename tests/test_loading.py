@@ -42,18 +42,20 @@ def test_commands_leave_the_combinatorial_modules_unloaded(argv):
 
 
 def test_chain_below_the_import_threshold_leaves_numpy_unloaded():
-    # runs of 2,000 and _BLOCK_IMPORT - 1 steps stay in pure Python; one of
-    # _BLOCK_IMPORT steps loads numpy for its bit table
+    # runs of 2,000 and _BLOCK_IMPORT - 1 steps stay in pure Python, and so
+    # does one of _BLOCK_IMPORT steps at p = 1, which runs on the odometer;
+    # one of _BLOCK_IMPORT steps below p = 1 loads numpy for its bit table
     code = (
         "import sys\n"
         "from bipsand import BipartiteShape, simulate\n"
         "from bipsand.model import _BLOCK_IMPORT\n"
         "print(2000 < _BLOCK_IMPORT - 1)\n"
-        "for steps in (2000, _BLOCK_IMPORT - 1, _BLOCK_IMPORT):\n"
-        "    simulate('ssm', BipartiteShape(2, 2), steps, 7)\n"
+        "for steps, p in ((2000, 0.5), (_BLOCK_IMPORT - 1, 0.5), (_BLOCK_IMPORT, 1.0),\n"
+        "                 (_BLOCK_IMPORT, 0.5)):\n"
+        "    simulate('ssm', BipartiteShape(2, 2), steps, 7, p)\n"
         "    print('numpy' in sys.modules)"
     )
-    assert _fresh(code).split() == ["True", "False", "False", "True"]
+    assert _fresh(code).split() == ["True", "False", "False", "False", "True"]
 
 
 def test_a_long_run_imports_numpy_once_it_has_run_that_far():

@@ -510,6 +510,38 @@ class TestRounds:
                 assert (got.top, got.bottom, ft, fb) == want, (top, bottom, oracle, bits)
         assert rounds
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), m=st.integers(0, 14), n=st.integers(1, 14),
+           dense=st.integers(0, 9).map(lambda k: k < 3), seed=st.integers(0, 2**64),
+           p=st.sampled_from((0.1, 0.3, 0.5, 0.9)), bits=st.sampled_from((1, 24, 256, 2**16)),
+           window=st.sampled_from((1, 2, 5, 128)))
+    def test_random_piles_match_the_stack(self, data, m, n, dense, seed, p, bits, window):
+        # about 30% of the piles hold one to three times each vertex's degree,
+        # so their sides fire in chunks at the narrow settings; the others hold
+        # up to twice the degree, and sometimes one heavy vertex.  Every pile
+        # sweeps (_SWEEP_MIN = 1), and a duck-typed oracle with the same bits
+        # fires it from the stack
+        import bipsand.model
+
+        def side(k, deg):
+            low, high = (deg, 3 * deg) if dense else (0, 2 * deg)
+            return data.draw(st.lists(st.integers(low, high), min_size=k, max_size=k))
+
+        top, bottom = side(m, n), side(n, m + 1)
+        if not dense and data.draw(st.booleans()):
+            bottom[0] += data.draw(st.integers(40, 200))
+        c = Configuration.from_vectors(top, bottom)
+        oracle, calls = ToppleOracle(seed, p), []
+        engine = bipsand.model._sweeps
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bipsand.model, "_SWEEP_MIN", 1)
+            patch.setattr(bipsand.model, "_SWEEP_BITS", bits)
+            patch.setattr(bipsand.model, "_SWEEP_WINDOW", window)
+            patch.setattr(bipsand.model, "_sweeps", lambda *args: calls.append(1) or engine(*args))
+            got = stabilize_stochastic(c, oracle)
+            assert got == stabilize_stochastic(c, SimpleNamespace(bit=oracle.bit))
+        assert len(calls) == (not c.is_stable)
+
     def test_windows_stay_bounded_on_a_large_graph(self, rounds):
         # 400 tops of degree 400 all fire at once: a side keeps at most
         # 2^16 // 400 = 163 windows of one firing (about 1 MB of counts), so
@@ -811,6 +843,26 @@ class TestOneFiringLoop:
         assert list(trajectory("asm", shape, 300, 6)) == want_states
         assert want_states != [want_states[0]] * len(want_states)
 
+    @pytest.mark.parametrize("m, n", [(12, 12), (4, 4)])
+    def test_full_probability_chain_runs_on_the_odometer(self, monkeypatch, m, n):
+        # every bit is 1 at p = 1, so the ssm chain is the asm chain; with the
+        # table's gate at 0, K4,4 would otherwise read its bits from a table
+        import bipsand.model
+
+        _set_table_gate(monkeypatch, 0, 0)
+        shape = BipartiteShape(m, n)
+        want_visits = list(simulate("asm", shape, 300, 5).items())
+        want_states = list(trajectory("asm", shape, 300, 6))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the p = 1 chain fired one firing at a time")
+
+        monkeypatch.setattr(bipsand.model, "_settle", refuse)
+        monkeypatch.setattr(bipsand.model, "_table_bits", refuse)
+        assert list(simulate("ssm", shape, 300, 5, 1.0).items()) == want_visits
+        assert list(trajectory("ssm", shape, 300, 6, 1.0)) == want_states
+        assert len(want_visits) > 10
+
 
 _C = Configuration.from_text("0,2,2;2,2,2")
 _FIRST, _SECOND = FerrersDiagram((1, 1, 3)), FerrersDiagram((2, 2, 2))
@@ -1063,8 +1115,12 @@ class TestChainIsTheMarkovStepChain:
             # no vertex holds 3 grains before step 3
             assert len(want[0]) >= 3
 
-    def test_budget_of_the_busiest_step(self):
-        shape, steps, seed, p = BipartiteShape(3, 3), 200, 4, 0.5
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_budget_of_the_busiest_step(self, p):
+        # at p = 1 both chains topple by the odometer, and report the step's
+        # grains before they stabilize (budget 3 stalls step 13 with one
+        # vertex unstable: the grain just added)
+        shape, steps, seed = BipartiteShape(3, 3), 200, 4
         firings, state = [], Configuration.zero(shape)
         for t in range(1, steps + 1):
             r = prf64(seed, DOMAIN_CHOICE, t) % 6
@@ -1082,6 +1138,10 @@ class TestChainIsTheMarkovStepChain:
         assert (states, message) == _until_stall(_markov_chain("ssm", shape, steps, seed, p,
                                                                most - 1))
         assert message.startswith(f"no stable state after {most - 1} firings on K0_{{3,3}}")
+        # every smaller budget stalls both chains at one step with one message
+        for budget in range(most - 1):
+            assert _until_stall(trajectory("ssm", shape, steps, seed, p, budget)) == _until_stall(
+                _markov_chain("ssm", shape, steps, seed, p, budget)), budget
 
 
 def _set_table_gate(monkeypatch, pays, loads):
