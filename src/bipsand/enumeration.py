@@ -9,7 +9,6 @@ is an independent count of deterministic-model recurrent states.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -18,6 +17,7 @@ from math import comb
 # enumeration, model and recurrence before it looks up every module it traces
 # in sys.modules.  Of the commands, only census and enumerate pay for this.
 from . import motzkin  # noqa: F401
+from ._record import record
 from .errors import GuardError
 from .model import BipartiteShape, Configuration, _check_int, _check_model, _check_shape, trajectory
 from .recurrence import is_recurrent
@@ -70,7 +70,7 @@ def enumerate_recurrent(
     return (c for c in enumerate_stable(shape, sorted_only, limit) if is_recurrent(c, model))
 
 
-@dataclass(frozen=True)
+@record
 class CensusRow:
     """Recurrent-configuration counts for one shape, split by level."""
 

@@ -17,9 +17,9 @@ whose blue edges are shifts and red edges are adds.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from ._record import record
 from .errors import GuardError
 from .model import BipartiteShape, Configuration, _check_int, _check_model, _check_shape
 from .recurrence import _dominates, counts_below, is_recurrent
@@ -27,7 +27,7 @@ from .recurrence import _dominates, counts_below, is_recurrent
 _DAG_MAX_CELLS = 36  # build_dag's bound on m*n: 0.02 s at 6x6 (905 diagrams)
 
 
-@dataclass(frozen=True)
+@record
 class FerrersDiagram:
     """Row lengths bottom to top: integers, weakly increasing, non-negative."""
 
@@ -150,7 +150,7 @@ def is_strongly_compatible(first: FerrersDiagram, second: FerrersDiagram) -> boo
     return _compatible(first, second, rowwise=True)
 
 
-@dataclass(frozen=True)
+@record
 class FerrersPair:
     """Two diagrams with equal row counts; the image of a sorted recurrent configuration."""
 
@@ -210,7 +210,7 @@ def pair_to_config(model: str, pair: FerrersPair) -> Configuration:
     return Configuration._trusted(BipartiteShape(m, n), top, second.rows)
 
 
-@dataclass(frozen=True)
+@record
 class LabelledFerrersPair:
     """A diagram pair plus the original vertex indices of its columns and rows.
 
@@ -280,7 +280,7 @@ def labelled_pair_to_config(model: str, lp: LabelledFerrersPair) -> Configuratio
     return Configuration._trusted(sc.shape, top, bottom)
 
 
-@dataclass(frozen=True)
+@record
 class FerrersDag:
     """Reachability graph over diagrams: blue edges are shifts, red edges adds."""
 

@@ -31,7 +31,6 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
 from operator import index
@@ -40,6 +39,7 @@ from ._prf import (
     DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, INIT, below_array, bits_below, fold, fold_array,
     masks_below, prf64, spread,
 )
+from ._record import record
 from .errors import TopplingStallError
 
 MODELS = ("asm", "ssm")
@@ -97,7 +97,7 @@ def _check_model(model: str) -> None:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
 
 
-@dataclass(frozen=True)
+@record
 class BipartiteShape:
     """Vertex counts (m top, n bottom) of K0_{m,n}; the sink is implicit."""
 
@@ -124,7 +124,7 @@ def _check_shape(shape) -> None:
         raise ValueError(f"shape must be a BipartiteShape, got {shape!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Vertex:
     """A vertex address: side 'top', 'bottom', or 'sink', with a 1-based index."""
 
@@ -164,7 +164,7 @@ def _grains(side) -> tuple:
     return side
 
 
-@dataclass(frozen=True)
+@record
 class Configuration:
     """Grain counts on the non-sink vertices; immutable and hashable.
 
@@ -285,7 +285,7 @@ def _bit_threshold(p) -> int:
     return threshold
 
 
-@dataclass(frozen=True)
+@record
 class ToppleOracle:
     """Committed Bernoulli(p) bits keyed by (vertex, firing index, neighbour).
 

@@ -15,9 +15,9 @@ configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
+from ._record import record
 from .model import Configuration
 from .polyomino import ParallelogramPolyomino, config_to_polyomino, polyomino_to_config
 
@@ -28,7 +28,7 @@ _STEP_TO_PAIR = {v: k for k, v in _PAIR_TO_STEP.items()}
 _RISE = {"U": 1, "D": -1, "HN": 0, "HE": 0}
 
 
-@dataclass(frozen=True)
+@record
 class MotzkinWord:
     """Step sequence over {U, D, HN, HE} staying on or above the axis."""
 

@@ -15,8 +15,7 @@ top row, and subtract.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .model import BipartiteShape, Configuration
 from .ferrers import FerrersPair, pair_to_config
 
@@ -53,7 +52,7 @@ def _path(positions, total: int, mark: str) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class ParallelogramPolyomino:
     """Upper and lower step strings over {N, E} from (0,0) to (box width, box height)."""
 

@@ -15,12 +15,12 @@ a greedy scan in polynomial time and O(m+n) memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import accumulate
 from operator import ge
 
+from ._record import record
 from .model import BipartiteShape, Configuration, _check_model, _numpy
 
 # _numpy's pair for a check of m+n entries: from _NP_MIN on a loaded numpy
@@ -137,7 +137,7 @@ def level(c: Configuration) -> int:
     return c.total - c.shape.m * c.shape.n
 
 
-@dataclass(frozen=True)
+@record
 class ForbiddenWitness:
     """Vertex subsets certifying non-recurrence under the given model.
 

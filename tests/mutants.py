@@ -147,6 +147,23 @@ MUTANTS = (
     Mutant("polyomino-to-config-heights-not-lowered", "polyomino.py",
            "tuple(h - 1 for h in heights[:m]),",
            "tuple(h for h in heights[:m]),", ("tests/test_polyomino.py",)),
+    Mutant("motzkin-to-polyomino-flat-steps-swapped", "motzkin.py",
+           "u, l = _STEP_TO_PAIR[s]",
+           'u, l = _STEP_TO_PAIR[{"HN": "HE", "HE": "HN"}.get(s, s)]', ("tests/test_motzkin.py",)),
+    # the frozen records
+    Mutant("record-hash-drops-the-last-field", "_record.py",
+           'f"    return hash(({mine}))",',
+           'f"    return hash(({mine.rpartition(\'self.\')[0]}))",',
+           ("tests/test_records.py", "-k", "hash")),
+    Mutant("record-eq-without-the-class-check", "_record.py",
+           '"    if other.__class__ is self.__class__:",',
+           '"    if True:",', ("tests/test_records.py", "-k", "equality")),
+    Mutant("record-fields-assignable", "_record.py",
+           "        if type(self) is cls or name in names:\n"
+           "            raise AttributeError(f\"cannot assign",
+           "        if False:\n"
+           "            raise AttributeError(f\"cannot assign",
+           ("tests/test_records.py", "-k", "assigned")),
     # the recurrence kernels
     Mutant("np-verdicts-rowwise-strict", "recurrence.py",
            "bool(np.all(sorted_b >= k))",

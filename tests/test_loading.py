@@ -41,6 +41,36 @@ def test_commands_leave_the_combinatorial_modules_unloaded(argv):
     assert _loaded_after_main(argv, unused) == "0 []\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "3,1,3,2,3;2,0,4,3", "--model", "ssm"],
+    ["level", "3,1,3,2,3;2,0,4,3"],
+    ["stabilize", "2,1;0,2", "--model", "asm"],
+    ["stabilize", "2,1;0,2", "--model", "ssm", "--seed", "5"],
+    ["simulate", "--model", "ssm", "--m", "2", "--n", "2", "--steps", "20"],
+    ["census", "--m", "3", "--n", "3", "--model", "asm"],
+    ["enumerate", "--m", "2", "--n", "2", "--model", "ssm"],
+    ["biject", "--to", "ferrers", "0,2,2;2,2,2", "--model", "ssm"],
+    ["biject", "--to", "polyomino", "1,1;2,2,2"],
+    ["biject", "--to", "motzkin", "1,1;2,2,2"],
+    ["biject", "--from", "motzkin", "UeDn"],
+], ids=["check", "level", "stabilize-asm", "stabilize-ssm", "simulate", "census", "enumerate",
+        "to-ferrers", "to-polyomino", "to-motzkin", "from-motzkin"])
+def test_commands_load_neither_dataclasses_nor_inspect(argv):
+    # the records are built by bipsand._record: importing dataclasses, and
+    # inspect with it, would cost every process about 7 ms
+    assert _loaded_after_main(argv, ("dataclasses", "inspect")) == "0 []\n"
+
+
+def test_no_module_of_the_package_loads_dataclasses():
+    code = (
+        "import sys, bipsand, bipsand.cli\n"
+        "for name in bipsand._EXPORTS:\n"
+        "    getattr(bipsand, name)\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    assert _fresh(code) == "[]\n"
+
+
 def test_chain_below_the_import_threshold_leaves_numpy_unloaded():
     # runs of 2,000 and _BLOCK_IMPORT - 1 steps stay in pure Python, and so
     # does one of _BLOCK_IMPORT steps at p = 1, which runs on the odometer;
