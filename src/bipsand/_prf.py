@@ -89,11 +89,3 @@ def below_array(acc, spread_w, threshold: int):
     """The bool array of prf64 states acc, each with its folded last word
     spread_w, below threshold (< 2^64)."""
     return _mix_array(acc ^ spread_w) < threshold
-
-
-def masks_below(np, acc, spread_words, threshold):
-    """bits_below's bits for every prf64 state in acc, packed into one int
-    each: bit j of entry i is below_array(acc[i], spread_words[..., j],
-    threshold), where spread_words broadcasts against acc[..., None]."""
-    weights = 1 << np.arange(spread_words.shape[-1], dtype=np.int64)
-    return below_array(acc[..., None], spread_words, threshold) @ weights

@@ -23,7 +23,8 @@ single topplings of either rule also run.  The grain-addition chain keeps
 one grain list for a whole run, settling each step by that stack or the
 odometer: bit for bit markov_step's.  No ssm chain bit depends on the
 state, so where _numpy gives numpy, the stack reads the bits of a step's
-first firings from a table drawn in numpy for a block of steps at once.
+first firings from a table drawn in numpy for a block of steps at once,
+one byte a bit, on every shape whose one step's bits fit in a block.
 """
 from __future__ import annotations
 
@@ -32,12 +33,12 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress, repeat
 from operator import index
 
 from ._prf import (
     DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, INIT, below_array, bits_below, fold, fold_array,
-    masks_below, prf64, spread,
+    prf64, spread,
 )
 from ._record import record
 from .errors import TopplingStallError
@@ -64,12 +65,10 @@ _SWEEP_WINDOW = 128
 # count: with numpy loaded, a run below _BLOCK_MIN steps does not repay a
 # block's fixed cost, and loading numpy costs a fresh process more than a
 # run below _BLOCK_IMPORT steps saves.  A block holds at most _BLOCK_BITS
-# bits, so its arrays stay in cache.  Shapes of degree above _BLOCK_DEGREE
-# keep the stack: their lookups of 2^degree masks cost a first short run
-# more than the table saves it.  CHANGES.md has the timings.
+# bits, so its arrays stay in cache, and a shape whose one step's bits do
+# not fit in a block keeps the stack.  CHANGES.md has the timings.
 _FIRST = 2
 _BLOCK_BITS = 1 << 15
-_BLOCK_DEGREE = 11
 _BLOCK_MIN = 32
 _BLOCK_IMPORT = 15000
 
@@ -402,7 +401,7 @@ def _topple(c: Configuration, s: int, draw, firing: int) -> Configuration:
 
 def topple_deterministic(c: Configuration, v: Vertex) -> Configuration:
     """Topple one unstable vertex: one grain to each neighbour, sink grains vanish."""
-    return _topple(c, _topple_slot(c, v), None, 0)
+    return _topple(c, _topple_slot(c, v), lambda s, firing: repeat(1), 0)
 
 
 def topple_stochastic(
@@ -664,9 +663,9 @@ def stabilize_stochastic(
 
 def _settle(grains: list, fires: list, stack: list, m: int, n: int, draw, left: int) -> bool:
     """Fire stack's slots one firing at a time, from fires' indices with draw's
-    bits (all 1 if draw is None: asm), until all are stable (True) or left
-    firings are spent (False).  A slot is pushed when an arrival makes it
-    unstable, so never twice; the sink's entry grains[m + n] stays above n."""
+    bits, until all are stable (True) or left firings are spent (False).  A
+    slot is pushed when an arrival makes it unstable, so never twice; the
+    sink's entry grains[m + n] stays above n."""
     degb = m + 1
     top_nb, bottom_nb = _table(m, n)[:2]
     while stack:
@@ -679,7 +678,7 @@ def _settle(grains: list, fires: list, stack: list, m: int, n: int, draw, left: 
         g, firing = grains[s], fires[s]
         while g >= deg and left:
             left -= 1
-            got = nbs if draw is None else list(compress(nbs, draw(s, firing)))
+            got = list(compress(nbs, draw(s, firing)))
             firing += 1
             for t in got:
                 grains[t] += 1
@@ -775,9 +774,10 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
     At p = 1 (threshold 2^64) every bit is 1, so an ssm step topples by the
     odometer too, stalling past max_firings, and asks _numpy nothing.  prf64
     is a left fold, so both keys extend a prefix folded once a run.  Below
-    p = 1, where _numpy gives numpy, from the start or once the steps run
-    reach _BLOCK_IMPORT, an ssm step's first firings read their bits from a
-    table drawn for a block of steps at once (see _table_bits)."""
+    p = 1, on a shape whose one step's bits fit in _BLOCK_BITS, where _numpy
+    gives numpy, from the start or once the steps run reach _BLOCK_IMPORT,
+    an ssm step's first firings read their bits from a table drawn for a
+    block of steps at once (see _table_bits)."""
     m, n = shape.m, shape.n
     size = m + n
     grains = [0] * size + [n + 1]  # the sink's entry above n (see _settle)
@@ -786,7 +786,7 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
     yield top, bottom
     odometer = threshold is None or threshold >> 64
     np = switch = None
-    if not odometer and max(n, m + 1) <= _BLOCK_DEGREE:
+    if not odometer and _FIRST * size * max(n, m + 1) <= _BLOCK_BITS:
         # the table from the start if numpy is loaded (a load threshold past
         # the run imports nothing), else from the step that reaches _BLOCK_IMPORT
         np = _numpy(steps, _BLOCK_MIN, steps + 1)
@@ -819,13 +819,6 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
         yield top, bottom
 
 
-@lru_cache(maxsize=None)
-def _decode(degree: int) -> tuple:
-    """The bits of each mask of degree bits, as bytes of 0s and 1s indexed
-    by the mask: bit j of the mask is byte j."""
-    return tuple(bytes(bits[::-1]) for bits in product((0, 1), repeat=degree))
-
-
 def _table_bits(np, step: int, steps: int, m: int, n: int, threshold: int):
     """Return bits_at(t), for t rising: the draw of the ssm chain step t
     whose step key prefix is step, bit for bit
@@ -833,41 +826,42 @@ def _table_bits(np, step: int, steps: int, m: int, n: int, threshold: int):
 
     No bit key depends on the state, so the bits of every slot's firings
     0.._FIRST-1 come from a table drawn in numpy np for a block of steps at
-    once, each firing's bits packed into one int mask, and later firings'
-    bits from bits_below.  A block starts at a toppling step t and spans at
-    most max(t, _BLOCK_MIN) steps and _BLOCK_BITS bits, so a short read of a
-    long run draws little.  Each slot's neighbour words are padded to the
-    wider side's: the bits past its degree mean nothing, and its lookup
-    repeats past them.  p is below 1: the chain runs p = 1 on the odometer.
+    once, one byte (0 or 1) a bit, and later firings' bits from bits_below.
+    A block starts at a toppling step t and spans at most max(t, _BLOCK_MIN)
+    steps and _BLOCK_BITS bits, so a short read of a long run draws little;
+    one step's bits must fit in it.  Each slot's neighbour words are padded
+    to the wider side's, so a firing's bits start every width bytes, and
+    those past its degree are never read.  p is below 1: the chain runs
+    p = 1 on the odometer.
     """
     codes, top_words, bottom_words = _table(m, n)[2:]
     size, width = m + n, max(n, m + 1)
     words = [top_words] * m + [bottom_words] * n
-    decode = ([_decode(n) * (1 << (width - n))] * m
-              + [_decode(m + 1) * (1 << (width - m - 1))] * n)
+    degree = [n] * m + [m + 1] * n
     pad = (0,) * (width - min(n, m + 1))
     spread_words = np.array([(*ws, *pad)[:width] for ws in words], np.uint64)
     code_words = np.array(codes[:-1], np.uint64)
     firings = np.arange(_FIRST, dtype=np.uint64)[:, None]
     below = np.uint64(threshold)
-    cap = max(1, _BLOCK_BITS // (_FIRST * size * width))
-    block, base = [], 0
+    cap = _BLOCK_BITS // (_FIRST * size * width)
+    block, base, count = b"", 0, 0
 
     def bits_at(t):
-        nonlocal block, base
-        if t - base >= len(block):
+        nonlocal block, base, count
+        if t - base >= count:
             base, count = t, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)
             with np.errstate(over="ignore"):
                 child = fold_array(np.uint64(step), np.arange(t, t + count, dtype=np.uint64))
                 prefix = fold_array(fold_array(np.uint64(INIT), child), np.uint64(DOMAIN_BIT))
                 acc = fold_array(fold_array(prefix[:, None], code_words)[:, None], firings)
-                # entry [i][f][s] packs the bits of slot s's firing f at step t + i
-                block = masks_below(np, acc, spread_words, below).tolist()
-        masks = block[t - base]
+                # byte [i][f][s][j] is bit j of slot s's firing f at step t + i
+                block = below_array(acc[..., None], spread_words, below).tobytes()
+        row = (t - base) * _FIRST * size
 
         def draw(s, firing):
             if firing < _FIRST:
-                return decode[s][masks[firing][s]]
+                at = (row + firing * size + s) * width
+                return block[at:at + degree[s]]
             return bits_below(prf64(fold(step, t), DOMAIN_BIT), codes[s], firing, words[s],
                               threshold)
 

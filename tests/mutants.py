@@ -13,7 +13,7 @@ A mutant that survives is a finding about the tests: report it, and do not
 delete or soften its entry.  Changes that keep every output by design are
 listed in EQUIVALENT, with the reason, and are not run.
 
-Run from anywhere; it takes about a minute, and needs only the standard
+Run from anywhere; it takes a few minutes, and needs only the standard
 library (the selections need pytest and hypothesis):
 
     python tests/mutants.py            # every entry
@@ -48,7 +48,12 @@ class Mutant(NamedTuple):
 
 CHAIN_TABLE = ("tests/test_model.py", "-k", "TestChainTable")
 TABLE_BITS = ("tests/test_oracle_bits.py", "-k", "chain_table")
-SWEEPS = ("tests/test_model.py", "-k", "TestRounds")
+# each _sweeps entry runs the one TestRounds test, at the default gate, that
+# kills it fastest
+SWEEP_BUDGET = ("tests/test_model.py", "-k", "TestRounds and budget_boundary and default")
+SWEEP_PILES = ("tests/test_model.py", "-k", "TestRounds and bench_piles and default")
+SWEEP_CHUNKS = ("tests/test_model.py", "-k", "TestRounds and capped_rounds and default")
+SWEEP_BOUNDED = ("tests/test_model.py", "-k", "TestRounds and windows_stay_bounded and default")
 
 MUTANTS = (
     # the ssm chain's bit table
@@ -58,15 +63,15 @@ MUTANTS = (
     Mutant("table-block-base-off-by-one", "model.py",
            "base, count = t, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)",
            "base, count = t - 1, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)", CHAIN_TABLE),
-    Mutant("table-mask-bit-order-reversed", "model.py",
-           "return tuple(bytes(bits[::-1]) for bits in product((0, 1), repeat=degree))",
-           "return tuple(bytes(bits) for bits in product((0, 1), repeat=degree))", TABLE_BITS),
-    Mutant("table-masks-from-step-t-plus-1", "model.py",
+    Mutant("table-offset-without-the-firing-term", "model.py",
+           "at = (row + firing * size + s) * width",
+           "at = (row + s) * width", TABLE_BITS),
+    Mutant("table-drawn-from-step-t-plus-1", "model.py",
            "np.arange(t, t + count, dtype=np.uint64)",
            "np.arange(t + 1, t + count + 1, dtype=np.uint64)", TABLE_BITS),
-    Mutant("table-lookup-not-repeated-past-the-degree", "model.py",
-           "decode = ([_decode(n) * (1 << (width - n))] * m",
-           "decode = ([_decode(n)] * m", CHAIN_TABLE),
+    Mutant("table-slice-to-the-width-for-every-slot", "model.py",
+           "return block[at:at + degree[s]]",
+           "return block[at:at + width]", TABLE_BITS),
     Mutant("fold-array-unspread-word", "_prf.py",
            "return _mix_array(acc ^ (w + 1) * _FOLD)",
            "return _mix_array(acc ^ w * _FOLD)", TABLE_BITS),
@@ -100,31 +105,31 @@ MUTANTS = (
     # the side-sweep engine
     Mutant("sweeps-budget-one-over", "model.py",
            "        if bound > max_firings:",
-           "        if bound > max_firings + 1:", SWEEPS),
+           "        if bound > max_firings + 1:", SWEEP_BUDGET),
     Mutant("sweeps-budget-not-strict", "model.py",
            "        if bound > max_firings:",
-           "        if bound >= max_firings:", SWEEPS),
+           "        if bound >= max_firings:", SWEEP_BUDGET),
     Mutant("sweeps-windows-from-firing-zero", "model.py",
            "f = base[x][s, None].astype(np.uint64) + np.arange(",
-           "f = 0 * base[x][s, None].astype(np.uint64) + np.arange(", SWEEPS),
+           "f = 0 * base[x][s, None].astype(np.uint64) + np.arange(", SWEEP_PILES),
     Mutant("sweeps-rebase-off-by-one", "model.py",
            "        base[x][s] += at",
-           "        base[x][s] += at + 1", SWEEPS),
+           "        base[x][s] += at + 1", SWEEP_PILES),
     Mutant("sweeps-narrowed-windows-not-drawn-again", "model.py",
            "        draw(x, rows[x][kept:])",
-           "        draw(x, rows[x][len(keep):])", SWEEPS),
+           "        draw(x, rows[x][len(keep):])", SWEEP_CHUNKS),
     Mutant("sweeps-unstable-windows-dropped", "model.py",
            "busy = h[ids[x]] - S[x][keep, pos[x]] >= d",
-           "busy = h[ids[x]] - S[x][keep, pos[x]] > d", SWEEPS),
+           "busy = h[ids[x]] - S[x][keep, pos[x]] > d", SWEEP_CHUNKS),
     Mutant("sweeps-slots-left-out-of-a-chunk-wait", "model.py",
            "quiet, more = False, grow(x, new, h)",
-           "quiet, more = False, grow(x, new, h) and False", SWEEPS),
+           "quiet, more = False, grow(x, new, h) and False", SWEEP_BOUNDED),
     Mutant("sweeps-sides-swapped-in-the-arrivals", "model.py",
            "got = C[1 - x][rows[1 - x], pos[1 - x]].sum(0)",
-           "got = C[x][rows[x], pos[x]].sum(0)", SWEEPS),
+           "got = C[x][rows[x], pos[x]].sum(0)", SWEEP_PILES),
     Mutant("sweeps-sink-column-kept-in-the-arrivals", "model.py",
            "return held[x] + (got[1:] if x == 0 else got)",
-           "return held[x] + (got[:-1] if x == 0 else got)", SWEEPS),
+           "return held[x] + (got[:-1] if x == 0 else got)", SWEEP_PILES),
     # the committed bits, the witness searches, the census and the inverses
     Mutant("bits-below-second-shift-off-by-one", "_prf.py",
            "        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK",
@@ -188,7 +193,7 @@ EQUIVALENT = (
      "it changes only the low 34 bits of a hash, which decide its comparison "
      "with a threshold with probability about 2^-30"),
     ("_FIRST = 2 -> 1 or 3", "the table and bits_below draw the same bits"),
-    ("_BLOCK_MIN, _BLOCK_IMPORT, _BLOCK_BITS, _BLOCK_DEGREE",
+    ("_BLOCK_MIN, _BLOCK_IMPORT, _BLOCK_BITS",
      "they choose where the table runs and how far it draws, never a bit"),
 )
 

@@ -107,7 +107,7 @@ def test_a_long_run_imports_numpy_once_it_has_run_that_far():
         "cold = simulate('ssm', shape, steps, 3)\n"
         "print('numpy' in sys.modules, len(calls))\n"
         "print(simulate('ssm', shape, steps, 3) == cold, len(calls))\n"
-        "model._BLOCK_DEGREE = 0\n"
+        "model._BLOCK_BITS = 0\n"
         "print(simulate('ssm', shape, steps, 3) == cold, len(calls))\n"
     )
     assert _fresh(code).split() == ["False", "True", "1", "True", "2", "True", "2"]

@@ -6,7 +6,7 @@ import random
 import sys
 import time
 import tracemalloc
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -1153,9 +1153,9 @@ def _set_table_gate(monkeypatch, pays, loads):
 
 
 class TestChainTableIsTheMarkovStepChain(TestChainIsTheMarkovStepChain):
-    """The same checks with the table's gate at 0: every ssm run of degree
-    up to _BLOCK_DEGREE reads its first firings' bits from numpy tables,
-    in blocks from one step long."""
+    """The same checks with the table's gate at 0: every ssm run whose one
+    step's bits fit in _BLOCK_BITS reads its first firings' bits from numpy
+    tables, in blocks from one step long."""
 
     @pytest.fixture(autouse=True)
     def table_on(self, monkeypatch):
@@ -1178,13 +1178,13 @@ def blocks(monkeypatch):
     import bipsand.model
 
     counts = []
-    pack = bipsand.model.masks_below
+    below = bipsand.model.below_array
 
-    def counted(np, acc, spread_words, threshold):
+    def counted(acc, spread_words, threshold):
         counts.append(len(acc))
-        return pack(np, acc, spread_words, threshold)
+        return below(acc, spread_words, threshold)
 
-    monkeypatch.setattr(bipsand.model, "masks_below", counted)
+    monkeypatch.setattr(bipsand.model, "below_array", counted)
     return counts
 
 
@@ -1234,35 +1234,44 @@ class TestChainTable:
             next(states)
         assert blocks == [bipsand.model._BLOCK_MIN]
 
-    @pytest.mark.parametrize("m, n, table", [
-        (10, 10, True), (0, 11, True), (11, 11, False), (11, 1, False),
+    @pytest.mark.parametrize("m, n, steps, table", [
+        (10, 10, 600, True), (0, 11, 600, True), (11, 11, 600, True), (11, 1, 600, True),
+        (20, 20, 3000, True), (90, 90, 15000, True), (91, 91, 15000, False),
     ])
-    def test_degree_cap(self, blocks, monkeypatch, m, n, table):
+    def test_the_table_runs_where_one_step_fits_in_a_block(self, blocks, monkeypatch, m, n,
+                                                          steps, table):
+        # one step's table holds 2 (m + n) max(n, m + 1) bits: 32,760 on
+        # K90,90 and 33,488 on K91,91, against _BLOCK_BITS = 32,768.  Every
+        # run topples far enough to lose grains to the sink
         shape = BipartiteShape(m, n)
-        got = simulate("ssm", shape, 600, 2)
+        got = simulate("ssm", shape, steps, 2)
+        assert max(c.total for c in got) < steps
         assert bool(blocks) == table
-        assert got == self._stack(monkeypatch, lambda: simulate("ssm", shape, 600, 2))
+        assert got == self._stack(monkeypatch, lambda: simulate("ssm", shape, steps, 2))
 
     @pytest.mark.parametrize("m, n, steps, seed, peak_mb", [
-        (400, 400, 50, 9, 1), (10, 10, 2000, 3, 4),
+        (400, 400, 50, 9, 1), (10, 10, 2000, 3, 4), (90, 90, 13000, 3, 2),
     ])
     def test_memory_is_bounded_by_the_caps(self, blocks, monkeypatch, m, n, steps, seed,
                                            peak_mb):
-        # K400,400 is past the degree cap: no lookup of 2^401 masks is built.
-        # K10,10 is at it, and its blocks are capped at _BLOCK_BITS bits
-        import bipsand.model
-
+        # K400,400's step does not fit in a block, so it keeps the stack.
+        # K10,10's blocks are capped at _BLOCK_BITS bits, and K90,90's one
+        # step fills a block.  Only the last state is kept, so the peak is
+        # the chain's own
         shape = BipartiteShape(m, n)
-        bipsand.model._decode.cache_clear()
+
+        def last():
+            return deque(trajectory("ssm", shape, steps, seed), maxlen=1)
+
         tracemalloc.start()
         try:
-            got = simulate("ssm", shape, steps, seed)
+            got = last()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < peak_mb * 2**20
-        assert bool(blocks) == (m <= 10)
-        assert got == self._stack(monkeypatch, lambda: simulate("ssm", shape, steps, seed))
+        assert bool(blocks) == (m <= 90)
+        assert got == self._stack(monkeypatch, last)
 
     def test_readme_example_with_the_table(self, blocks, monkeypatch):
         # seeded ssm output is a public contract on both paths: the README's

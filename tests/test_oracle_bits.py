@@ -60,8 +60,10 @@ class TestFiringBits:
         seed=SEEDS,
         # the chain runs p = 1 on the odometer, so no table sees it
         p=st.sampled_from([2.0**-64, 0.3, 0.5]),
-        m=st.integers(0, 10),
-        n=st.integers(1, 11),
+        # one step of every shape up to K70,71 fits in a block, and widths
+        # run past 64 bits
+        m=st.integers(0, 70),
+        n=st.integers(1, 71),
         t=st.integers(1, 3000),
         data=st.data(),
     )
