@@ -1250,28 +1250,29 @@ class TestChainTable:
         assert got == self._stack(monkeypatch, lambda: simulate("ssm", shape, steps, 2))
 
     @pytest.mark.parametrize("m, n, steps, seed, peak_mb", [
-        (400, 400, 50, 9, 1), (10, 10, 2000, 3, 4), (90, 90, 13000, 3, 2),
+        (400, 400, 50, 9, 1), (10, 10, 2000, 3, 4), (90, 90, 13000, 3, 14),
     ])
     def test_memory_is_bounded_by_the_caps(self, blocks, monkeypatch, m, n, steps, seed,
                                            peak_mb):
         # K400,400's step does not fit in a block, so it keeps the stack.
         # K10,10's blocks are capped at _BLOCK_BITS bits, and K90,90's one
-        # step fills a block.  Only the last state is kept, so the peak is
-        # the chain's own
+        # step fills a block.  peak_mb bounds a simulate run, its visit
+        # Counter included (12.9 MB of it on K90,90), and a run that keeps
+        # none of its states bounds the chain's own peak at 1 MB
         shape = BipartiteShape(m, n)
 
-        def last():
-            return deque(trajectory("ssm", shape, steps, seed), maxlen=1)
+        def traced(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        tracemalloc.start()
-        try:
-            got = last()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced(lambda: simulate("ssm", shape, steps, seed))
         assert peak < peak_mb * 2**20
+        assert traced(lambda: deque(trajectory("ssm", shape, steps, seed), maxlen=0))[1] < 2**20
         assert bool(blocks) == (m <= 90)
-        assert got == self._stack(monkeypatch, last)
+        assert got == self._stack(monkeypatch, lambda: simulate("ssm", shape, steps, seed))
 
     def test_readme_example_with_the_table(self, blocks, monkeypatch):
         # seeded ssm output is a public contract on both paths: the README's
