@@ -15,16 +15,14 @@ has a toppling order to choose: the stable result is unique.
 asm solves for the firing totals directly, by one kernel (the least-action
 odometer), and so does ssm at p = 1, every bit 1, under its firing budget:
 a stock ToppleOracle's pile and every step of a p = 1 chain.  Below p = 1,
-a stock oracle's pile sweeps the two sides in turn in numpy: each vertex
-of one side fires until it is stable, its bits read from windows drawn
-for many firings at once.  Piles _numpy keeps in Python and other oracles
-fire from one stack, one firing at a time: the one firing loop, which
-single topplings of either rule also run.  The grain-addition chain keeps
-one grain list for a whole run, settling each step by that stack or the
-odometer: bit for bit markov_step's.  No ssm chain bit depends on the
-state, so where _numpy gives numpy, the stack reads the bits of a step's
-first firings from a table drawn in numpy for a block of steps at once,
-one byte a bit, on every shape whose one step's bits fit in a block.
+where the gate _numpy hands over the numpy kernels (bipsand._kernels), a
+stock oracle's pile sweeps the two sides in turn there.  Other piles and
+other oracles fire from one stack, one firing at a time: the one firing
+loop, which single topplings of either rule also run.  The grain-addition
+chain keeps one grain list for a whole run, settling each step by that
+stack or the odometer: bit for bit markov_step's.  Where _numpy hands over
+the kernels, the stack reads the bits of a step's first firings from
+their table.
 """
 from __future__ import annotations
 
@@ -36,10 +34,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 from operator import index
 
-from ._prf import (
-    DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, INIT, below_array, bits_below, fold, fold_array,
-    prf64, spread,
-)
+from ._prf import DOMAIN_BIT, DOMAIN_CHOICE, DOMAIN_STEP, bits_below, fold, prf64, spread
 from ._record import record
 from .errors import TopplingStallError
 
@@ -48,25 +43,20 @@ _POLICIES = ("fifo", "lifo", "min-index")
 _MAX_FIRINGS = 10**9  # default stochastic firing budget: hours of toppling
 
 # ssm stabilization with a stock ToppleOracle sweeps the sides in numpy
-# (see _sweeps).  _numpy gates a pile by its first-round firings: with
-# numpy loaded, sweeps do not repay their fixed cost below _SWEEP_MIN, and
-# loading numpy costs a fresh process about 0.19 s, more than sweeps save
-# below _SWEEP_IMPORT.  A slot's window of bits covers at most _SWEEP_WINDOW
-# firings, and a side's windows together at most _SWEEP_BITS bits (or one
-# firing of one slot), whatever the grain count and the shape.  CHANGES.md
-# has the timings.
+# (see _kernels.sweeps).  _numpy gates a pile by its first-round firings:
+# with numpy loaded, sweeps do not repay their fixed cost below _SWEEP_MIN,
+# and loading numpy costs a fresh process about 0.19 s, more than sweeps
+# save below _SWEEP_IMPORT.  CHANGES.md has the timings.
 _SWEEP_MIN = 16
 _SWEEP_IMPORT = 1000
-_SWEEP_BITS = 1 << 16
-_SWEEP_WINDOW = 128
 
-# The ssm chain draws the bits of each slot's first _FIRST firings for a
-# block of steps at once (see _table_bits).  _numpy gates a run by its step
+# The ssm chain draws the bits of each slot's first _FIRST firings for a block
+# of steps at once (see _kernels.table_bits).  _numpy gates a run by its step
 # count: with numpy loaded, a run below _BLOCK_MIN steps does not repay a
-# block's fixed cost, and loading numpy costs a fresh process more than a
-# run below _BLOCK_IMPORT steps saves.  A block holds at most _BLOCK_BITS
-# bits, so its arrays stay in cache, and a shape whose one step's bits do
-# not fit in a block keeps the stack.  CHANGES.md has the timings.
+# block's fixed cost, and loading numpy costs a fresh process more than a run
+# below _BLOCK_IMPORT steps saves.  A block holds at most _BLOCK_BITS bits, so
+# its arrays stay in cache, and a shape whose one step's bits do not fit in a
+# block keeps the stack.  CHANGES.md has the timings.
 _FIRST = 2
 _BLOCK_BITS = 1 << 15
 _BLOCK_MIN = 32
@@ -74,13 +64,13 @@ _BLOCK_IMPORT = 15000
 
 
 def _numpy(work: int, pays: int, loads: int):
-    """numpy for a kernel call of this much work, or None: the one policy of
-    both numpy kernels.  From pays on, numpy runs if it is already loaded;
-    from loads on, it is imported.  Each kernel passes its own measured pair."""
-    if work >= loads:
-        import numpy
-        return numpy
-    return sys.modules.get("numpy") if work >= pays else None
+    """bipsand._kernels for a call of this much work, or None: the one policy
+    of the three numpy kernels.  From pays on, they run if numpy is already
+    loaded; from loads on, they are imported.  Each passes its measured pair."""
+    if work >= loads or work >= pays and "numpy" in sys.modules:
+        from . import _kernels
+        return _kernels
+    return None
 
 
 def _check_int(name: str, value, low: int | None = None) -> None:
@@ -484,130 +474,6 @@ def _stall(grains: list, m: int, n: int, p, max_firings: int) -> TopplingStallEr
     )
 
 
-def _sweeps(np, grains: list, m: int, n: int, oracle: ToppleOracle, max_firings: int) -> list:
-    """Stabilize grains in numpy np with a stock oracle below p = 1, in
-    place; return the firing counts by slot.
-
-    The sides take turns, tops first, each slot firing until it is stable
-    given the other side's firings so far, until a turn after the first
-    fires nothing.  Every firing is legal when it happens, so by the least
-    action principle the counts climb to the stack's unique odometer.  An
-    unstable slot gets a window: its bits for firings base..base+W-1 as
-    counts by neighbour, cumulative over the window (C) and summed (S).
-    Holding h grains at base, it fires base + #{j < W : S[j] <= h - deg}
-    times, and at the window's end moves the window on.  A side keeps at
-    most max(1, _SWEEP_BITS // deg) windows of W = _SWEEP_BITS // (k deg)
-    firings for k windows (at least one), so no array outgrows
-    max(_SWEEP_BITS, deg) bits.  Past that many, its stable windows are
-    dropped and its slots fire in chunks: slots of one side never feed each
-    other.  Each move, and the end, checks the budget (see tally).
-    """
-    deg = (n, m + 1)
-    codes, *words = _table(m, n)[2:]
-    words = [np.array(w, np.uint64) for w in words]
-    below = np.uint64(oracle._threshold)
-    pa = np.array([fold(oracle._prefix, c) for c in codes[:-1]], np.uint64)
-    pa = [pa[:m], pa[m:]]
-    # by side: each slot's grains and firings at its window's base; each
-    # window's slot, position and counts, and rows 0..k-1; the width W
-    held = [np.array(grains[:m], np.int64), np.array(grains[m:-1], np.int64)]
-    base = [np.zeros(m, np.int64), np.zeros(n, np.int64)]
-    ids, pos, rows = ([np.zeros(0, np.int64), np.zeros(0, np.int64)] for _ in range(3))
-    C, S = [np.zeros((0, 1, d), np.int64) for d in deg], [np.zeros((0, 1), np.int64) for d in deg]
-    width = [0, 0]
-
-    def draw(x, r):
-        """Draw side x's windows r, from their bases."""
-        s = ids[x][r]
-        f = base[x][s, None].astype(np.uint64) + np.arange(width[x], dtype=np.uint64)
-        acc = fold_array(pa[x][s, None], f)
-        C[x][r, 1:] = below_array(acc[..., None], words[x], below).cumsum(1)
-        S[x][r] = C[x][r].sum(2)
-
-    def rebase(x, r):
-        """Move the bases of side x's windows r to their positions."""
-        at, s = pos[x][r], ids[x][r]
-        held[x][s] -= S[x][r, at]
-        sent = C[x][r, at].sum(0)
-        held[1 - x] += sent[1:] if x else sent
-        base[x][s] += at
-        pos[x][r] = 0
-
-    def grow(x, new, h):
-        """Give side x's unstable slots new (grains at base h) windows, as
-        many as fit once the stable windows are dropped; True if some are
-        left out.  Where W changes, every window is rebased and redrawn."""
-        d, keep, todo = deg[x], rows[x], len(new)
-        cap = max(1, _SWEEP_BITS // d)
-        if len(keep) + todo > cap:
-            busy = h[ids[x]] - S[x][keep, pos[x]] >= d
-            rebase(x, keep[~busy])
-            keep = keep[busy]
-            new = new[:cap - len(keep)]
-        k = len(keep) + len(new)
-        w = max(1, min(_SWEEP_WINDOW, _SWEEP_BITS // (k * d)))
-        c, t, at = np.zeros((k, w + 1, d), np.int64), np.zeros((k, w + 1), np.int64), np.zeros(k, np.int64)
-        kept = len(keep) if w == width[x] else 0
-        if kept:
-            c[:kept], t[:kept], at[:kept] = C[x][keep], S[x][keep], pos[x][keep]
-        else:
-            rebase(x, keep)
-        ids[x] = np.concatenate((ids[x][keep], new))
-        C[x], S[x], pos[x], width[x], rows[x] = c, t, at, w, np.arange(k)
-        draw(x, rows[x][kept:])
-        return len(new) < todo
-
-    def have(x):
-        """Side x's grains at its bases, plus arrivals from the other side's
-        windows (a bottom's first count is the sink's, which keeps none)."""
-        got = C[1 - x][rows[1 - x], pos[1 - x]].sum(0)
-        return held[x] + (got[1:] if x == 0 else got)
-
-    def tally():
-        """Write both sides' grains back; stall once the firings so far plus
-        sum(grains // deg), a lower bound of the odometer, exceed the budget."""
-        now = [have(0), have(1)]
-        bound = 0
-        for x in (0, 1):
-            now[x][ids[x]] -= S[x][rows[x], pos[x]]
-            bound += int(base[x].sum() + pos[x].sum() + (now[x] // deg[x]).sum())
-        grains[:-1] = [*now[0].tolist(), *now[1].tolist()]
-        if bound > max_firings:
-            raise _stall(grains, m, n, oracle.p, max_firings)
-
-    with np.errstate(over="ignore"):
-        x = turn = 0
-        while True:
-            quiet, more = turn > 0, True
-            while more:
-                h, more = have(x), False
-                if len(ids[x]) < len(h):
-                    unpooled = h >= deg[x]
-                    unpooled[ids[x]] = False
-                    if (new := np.flatnonzero(unpooled)).size:
-                        quiet, more = False, grow(x, new, h)
-                        h = have(x)
-                while True:
-                    count = (S[x][:, :width[x]] <= (h[ids[x]] - deg[x])[:, None]).sum(1)
-                    if count.max(initial=-1) < width[x]:  # -1: a side with no windows yet
-                        break
-                    quiet, pos[x] = False, count
-                    full = np.flatnonzero(count == width[x])
-                    rebase(x, full)
-                    draw(x, full)
-                    h = have(x)
-                    tally()
-                quiet = quiet and not (count - pos[x]).any()
-                pos[x] = count
-            if quiet:
-                break
-            x, turn = 1 - x, turn + 1
-        tally()
-    for x in (0, 1):
-        base[x][ids[x]] += pos[x]
-    return [*base[0].tolist(), *base[1].tolist()]
-
-
 def stabilize_stochastic(
     c: Configuration,
     oracle: ToppleOracle,
@@ -621,9 +487,9 @@ def stabilize_stochastic(
     nothing; a name outside _POLICIES raises ValueError.  A stock
     ToppleOracle at p = 1 fires as asm does (see _odometer); below p = 1 its
     sides take turns in numpy, each vertex firing until it is stable, with
-    its bits drawn in windows of many firings (see _sweeps).  A pile _numpy
-    keeps in Python, and any other oracle, fire from one stack of the
-    unstable vertices, one firing at a time (see _settle).
+    its bits drawn in windows of many firings (see _kernels.sweeps).  A
+    pile _numpy keeps in Python, and any other oracle, fire from one stack
+    of the unstable vertices, one firing at a time (see _settle).
     oracle must have a callable bit (ValueError at the call otherwise).
     To avoid hanging on adversarial oracles, more than max_firings total
     firings raises TopplingStallError; max_firings must be an int >= 0
@@ -649,10 +515,10 @@ def stabilize_stochastic(
         if sum(fired[0]) + sum(fired[1]) > max_firings:
             raise _stall(grains, m, n, p, max_firings)
         return Configuration._trusted(c.shape, *sides), fired
-    np = _numpy(first, _SWEEP_MIN, _SWEEP_IMPORT) if stock else None
+    k = _numpy(first, _SWEEP_MIN, _SWEEP_IMPORT) if stock else None
     # int64 holds every count of the sweeps when it holds the sum of all grains
-    if np is not None and sum(grains) < 1 << 63:
-        fires = _sweeps(np, grains, m, n, oracle, max_firings)
+    if k is not None and sum(grains) < 1 << 63:
+        fires = k.sweeps(grains, m, n, oracle, max_firings)
     else:
         fires = [0] * (m + n)
         if not _settle(grains, fires, stack, m, n, _firing_bits(oracle, m, n), max_firings):
@@ -775,9 +641,9 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
     odometer too, stalling past max_firings, and asks _numpy nothing.  prf64
     is a left fold, so both keys extend a prefix folded once a run.  Below
     p = 1, on a shape whose one step's bits fit in _BLOCK_BITS, where _numpy
-    gives numpy, from the start or once the steps run reach _BLOCK_IMPORT,
-    an ssm step's first firings read their bits from a table drawn for a
-    block of steps at once (see _table_bits)."""
+    gives the kernels, from the start or once the steps run reach
+    _BLOCK_IMPORT, an ssm step's first firings read their bits from a table
+    drawn for a block of steps at once (see _kernels.table_bits)."""
     m, n = shape.m, shape.n
     size = m + n
     grains = [0] * size + [n + 1]  # the sink's entry above n (see _settle)
@@ -785,20 +651,20 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
     top, bottom = (0,) * m, (0,) * n
     yield top, bottom
     odometer = threshold is None or threshold >> 64
-    np = switch = None
+    k = switch = None
     if not odometer and _FIRST * size * max(n, m + 1) <= _BLOCK_BITS:
         # the table from the start if numpy is loaded (a load threshold past
         # the run imports nothing), else from the step that reaches _BLOCK_IMPORT
-        np = _numpy(steps, _BLOCK_MIN, steps + 1)
-        switch = 1 if np else max(1, _BLOCK_IMPORT)
+        k = _numpy(steps, _BLOCK_MIN, steps + 1)
+        switch = 1 if k else max(1, _BLOCK_IMPORT)
 
     def bits_at(t):
         return _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n)
 
     for t in range(1, steps + 1):
         if t == switch:
-            np = np or _numpy(t, _BLOCK_MIN, _BLOCK_IMPORT)
-            bits_at = _table_bits(np, step, steps, m, n, threshold)
+            k = k or _numpy(t, _BLOCK_MIN, _BLOCK_IMPORT)
+            bits_at = k.table_bits(step, steps, m, n, threshold)
         s = fold(choice, t) % size
         grains[s] += 1
         # the other side keeps its tuple: states share it, as add_grain's do
@@ -817,57 +683,6 @@ def _chain(shape: BipartiteShape, steps: int, seed: int, p, threshold: int | Non
                     raise _stall(grains, m, n, p, max_firings)
                 top, bottom = tuple(grains[:m]), tuple(grains[m:size])
         yield top, bottom
-
-
-def _table_bits(np, step: int, steps: int, m: int, n: int, threshold: int):
-    """Return bits_at(t), for t rising: the draw of the ssm chain step t
-    whose step key prefix is step, bit for bit
-    _stock_bits(prf64(fold(step, t), DOMAIN_BIT), threshold, m, n).
-
-    No bit key depends on the state, so the bits of every slot's firings
-    0.._FIRST-1 come from a table drawn in numpy np for a block of steps at
-    once, one byte (0 or 1) a bit, and later firings' bits from bits_below.
-    A block starts at a toppling step t and spans at most max(t, _BLOCK_MIN)
-    steps and _BLOCK_BITS bits, so a short read of a long run draws little;
-    one step's bits must fit in it.  Each slot's neighbour words are padded
-    to the wider side's, so a firing's bits start every width bytes, and
-    those past its degree are never read.  p is below 1: the chain runs
-    p = 1 on the odometer.
-    """
-    codes, top_words, bottom_words = _table(m, n)[2:]
-    size, width = m + n, max(n, m + 1)
-    words = [top_words] * m + [bottom_words] * n
-    degree = [n] * m + [m + 1] * n
-    pad = (0,) * (width - min(n, m + 1))
-    spread_words = np.array([(*ws, *pad)[:width] for ws in words], np.uint64)
-    code_words = np.array(codes[:-1], np.uint64)
-    firings = np.arange(_FIRST, dtype=np.uint64)[:, None]
-    below = np.uint64(threshold)
-    cap = _BLOCK_BITS // (_FIRST * size * width)
-    block, base, count = b"", 0, 0
-
-    def bits_at(t):
-        nonlocal block, base, count
-        if t - base >= count:
-            base, count = t, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)
-            with np.errstate(over="ignore"):
-                child = fold_array(np.uint64(step), np.arange(t, t + count, dtype=np.uint64))
-                prefix = fold_array(fold_array(np.uint64(INIT), child), np.uint64(DOMAIN_BIT))
-                acc = fold_array(fold_array(prefix[:, None], code_words)[:, None], firings)
-                # byte [i][f][s][j] is bit j of slot s's firing f at step t + i
-                block = below_array(acc[..., None], spread_words, below).tobytes()
-        row = (t - base) * _FIRST * size
-
-        def draw(s, firing):
-            if firing < _FIRST:
-                at = (row + firing * size + s) * width
-                return block[at:at + degree[s]]
-            return bits_below(prf64(fold(step, t), DOMAIN_BIT), codes[s], firing, words[s],
-                              threshold)
-
-        return draw
-
-    return bits_at
 
 
 def simulate(

@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import ge
 
 from ._record import record
-from .model import BipartiteShape, Configuration, _check_model, _numpy
+from .model import BipartiteShape, Configuration, _check_int, _check_model, _numpy
 
 # _numpy's pair for a check of m+n entries: from _NP_MIN on a loaded numpy
 # beats pure Python, conversion included; only from _NP_IMPORT on does a check
@@ -38,19 +38,23 @@ def _require_stable(c: Configuration, op: str) -> None:
 def counts_below(values: Sequence[int], bound: int) -> tuple:
     """The k-vector: entry j (1-based) counts values strictly below j.
 
-    Entries must be integers in [0, bound); the result has length bound,
-    is weakly increasing, and its last entry is len(values).  Computed by
-    one counting pass over the input, which checks each value as it counts
-    it; a non-integer entry fails the comparison or the list index.
+    bound must be an int and entries integers in [0, bound), bools
+    excluded (ValueError otherwise); the result has length bound, is weakly
+    increasing, and its last entry is len(values).  Computed by one
+    counting pass over the input, which checks each value as it counts it;
+    a non-integer entry fails the comparison or the list index.
     """
-    hist = [0] * bound
+    _check_int("bound", bound)
     try:
+        hist = [0] * bound
         for v in values:
-            if not 0 <= v < bound:
+            if not 0 <= v < bound or v is True or v is False:
                 raise ValueError(f"values must lie in [0, {bound})")
             hist[v] += 1
     except TypeError:
         raise ValueError(f"values must be integers in [0, {bound})") from None
+    except (OverflowError, MemoryError):  # no list of bound entries fits
+        raise ValueError(f"bound {bound} is too large") from None
     return tuple(accumulate(hist))
 
 
@@ -68,34 +72,13 @@ def _check(c: Configuration, rowwise: bool, op: str) -> bool:
     the gate _numpy says so, else in pure Python."""
     m, n = c.shape.m, c.shape.n
     # the many tiny checks (census, round trips) ask no gate
-    np = _numpy(m + n, _NP_MIN, _NP_IMPORT) if m + n >= _NP_MIN else None
-    if np is None:
+    k = _numpy(m + n, _NP_MIN, _NP_IMPORT) if m + n >= _NP_MIN else None
+    if k is None:
         _require_stable(c, op)
         return _dominates(counts_below(c.top, n), sorted(c.bottom), rowwise)
     if c._rowwise is None:
-        _np_verdicts(np, c, op)
+        k.verdicts(c, op)
     return c._rowwise if rowwise else c._prefixwise
-
-
-def _np_verdicts(np, c: Configuration, op: str) -> None:
-    """Check that c is stable and record both of its verdicts on it, from
-    one int64 conversion of each side by the numpy module np.  The arrays
-    are not kept: at 10^7 entries they would hold about 160 MB."""
-    m, n = c.shape.m, c.shape.n
-    try:
-        top = np.fromiter(c.top, np.int64, m)
-        bottom = np.fromiter(c.bottom, np.int64, n)
-    except OverflowError:  # a count past int64 is far from stable
-        stable = False
-    else:
-        stable = (not m or top.max() < n) and bottom.max() <= m
-    if not stable:
-        raise ValueError(f"{op} is defined on stable configurations only")
-    k = np.cumsum(np.bincount(top, minlength=n))
-    hist_b = np.bincount(bottom, minlength=m + 1)
-    sorted_b = np.repeat(np.arange(m + 1, dtype=np.int64), hist_b)
-    object.__setattr__(c, "_rowwise", bool(np.all(sorted_b >= k)))
-    object.__setattr__(c, "_prefixwise", bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k))))
 
 
 def is_stochastically_recurrent(c: Configuration) -> bool:

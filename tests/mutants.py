@@ -48,7 +48,7 @@ class Mutant(NamedTuple):
 
 CHAIN_TABLE = ("tests/test_model.py", "-k", "TestChainTable")
 TABLE_BITS = ("tests/test_oracle_bits.py", "-k", "chain_table")
-# each _sweeps entry runs the one TestRounds test, at the default gate, that
+# each sweeps entry runs the one TestRounds test, at the default gate, that
 # kills it fastest
 SWEEP_BUDGET = ("tests/test_model.py", "-k", "TestRounds and budget_boundary and default")
 SWEEP_PILES = ("tests/test_model.py", "-k", "TestRounds and bench_piles and default")
@@ -57,27 +57,27 @@ SWEEP_BOUNDED = ("tests/test_model.py", "-k", "TestRounds and windows_stay_bound
 
 MUTANTS = (
     # the ssm chain's bit table
-    Mutant("table-first-firings-le", "model.py",
+    Mutant("table-first-firings-le", "_kernels.py",
            "            if firing < _FIRST:",
            "            if firing <= _FIRST:", CHAIN_TABLE),
-    Mutant("table-block-base-off-by-one", "model.py",
+    Mutant("table-block-base-off-by-one", "_kernels.py",
            "base, count = t, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)",
            "base, count = t - 1, min(steps + 1 - t, max(t, _BLOCK_MIN), cap)", CHAIN_TABLE),
-    Mutant("table-offset-without-the-firing-term", "model.py",
+    Mutant("table-offset-without-the-firing-term", "_kernels.py",
            "at = (row + firing * size + s) * width",
            "at = (row + s) * width", TABLE_BITS),
-    Mutant("table-drawn-from-step-t-plus-1", "model.py",
+    Mutant("table-drawn-from-step-t-plus-1", "_kernels.py",
            "np.arange(t, t + count, dtype=np.uint64)",
            "np.arange(t + 1, t + count + 1, dtype=np.uint64)", TABLE_BITS),
-    Mutant("table-slice-to-the-width-for-every-slot", "model.py",
+    Mutant("table-slice-to-the-width-for-every-slot", "_kernels.py",
            "return block[at:at + degree[s]]",
            "return block[at:at + width]", TABLE_BITS),
-    Mutant("fold-array-unspread-word", "_prf.py",
+    Mutant("fold-array-unspread-word", "_kernels.py",
            "return _mix_array(acc ^ (w + 1) * _FOLD)",
            "return _mix_array(acc ^ w * _FOLD)", TABLE_BITS),
     Mutant("chain-imports-numpy-by-declared-steps", "model.py",
-           "np = _numpy(steps, _BLOCK_MIN, steps + 1)",
-           "np = _numpy(steps, _BLOCK_MIN, _BLOCK_IMPORT)",
+           "k = _numpy(steps, _BLOCK_MIN, steps + 1)",
+           "k = _numpy(steps, _BLOCK_MIN, _BLOCK_IMPORT)",
            ("tests/test_loading.py", "-k", "long_run")),
     # the chain at p = 1, on the odometer
     Mutant("chain-p1-budget-not-strict", "model.py",
@@ -103,31 +103,31 @@ MUTANTS = (
            "while g >= deg and left:",
            "while g > deg and left:", ("tests/test_model.py", "-k", "OneFiringLoop")),
     # the side-sweep engine
-    Mutant("sweeps-budget-one-over", "model.py",
+    Mutant("sweeps-budget-one-over", "_kernels.py",
            "        if bound > max_firings:",
            "        if bound > max_firings + 1:", SWEEP_BUDGET),
-    Mutant("sweeps-budget-not-strict", "model.py",
+    Mutant("sweeps-budget-not-strict", "_kernels.py",
            "        if bound > max_firings:",
            "        if bound >= max_firings:", SWEEP_BUDGET),
-    Mutant("sweeps-windows-from-firing-zero", "model.py",
+    Mutant("sweeps-windows-from-firing-zero", "_kernels.py",
            "f = base[x][s, None].astype(np.uint64) + np.arange(",
            "f = 0 * base[x][s, None].astype(np.uint64) + np.arange(", SWEEP_PILES),
-    Mutant("sweeps-rebase-off-by-one", "model.py",
+    Mutant("sweeps-rebase-off-by-one", "_kernels.py",
            "        base[x][s] += at",
            "        base[x][s] += at + 1", SWEEP_PILES),
-    Mutant("sweeps-narrowed-windows-not-drawn-again", "model.py",
+    Mutant("sweeps-narrowed-windows-not-drawn-again", "_kernels.py",
            "        draw(x, rows[x][kept:])",
            "        draw(x, rows[x][len(keep):])", SWEEP_CHUNKS),
-    Mutant("sweeps-unstable-windows-dropped", "model.py",
+    Mutant("sweeps-unstable-windows-dropped", "_kernels.py",
            "busy = h[ids[x]] - S[x][keep, pos[x]] >= d",
            "busy = h[ids[x]] - S[x][keep, pos[x]] > d", SWEEP_CHUNKS),
-    Mutant("sweeps-slots-left-out-of-a-chunk-wait", "model.py",
+    Mutant("sweeps-slots-left-out-of-a-chunk-wait", "_kernels.py",
            "quiet, more = False, grow(x, new, h)",
            "quiet, more = False, grow(x, new, h) and False", SWEEP_BOUNDED),
-    Mutant("sweeps-sides-swapped-in-the-arrivals", "model.py",
+    Mutant("sweeps-sides-swapped-in-the-arrivals", "_kernels.py",
            "got = C[1 - x][rows[1 - x], pos[1 - x]].sum(0)",
            "got = C[x][rows[x], pos[x]].sum(0)", SWEEP_PILES),
-    Mutant("sweeps-sink-column-kept-in-the-arrivals", "model.py",
+    Mutant("sweeps-sink-column-kept-in-the-arrivals", "_kernels.py",
            "return held[x] + (got[1:] if x == 0 else got)",
            "return held[x] + (got[:-1] if x == 0 else got)", SWEEP_PILES),
     # the committed bits, the witness searches, the census and the inverses
@@ -170,7 +170,7 @@ MUTANTS = (
            "            raise AttributeError(f\"cannot assign",
            ("tests/test_records.py", "-k", "assigned")),
     # the recurrence kernels
-    Mutant("np-verdicts-rowwise-strict", "recurrence.py",
+    Mutant("np-verdicts-rowwise-strict", "_kernels.py",
            "bool(np.all(sorted_b >= k))",
            "bool(np.all(sorted_b > k))", ("tests/test_recurrence.py",)),
     Mutant("counts-below-shifted-by-one", "recurrence.py",

@@ -1,10 +1,14 @@
 """What each import and each command loads: names bind on first use."""
+import ast
+import pathlib
+
 import pytest
 
-from test_recurrence import _fresh
+from test_recurrence import SRC, _fresh
 
-# modules that no check, level, stabilize or simulate command needs
-_UNUSED = ("bipsand.enumeration", "bipsand.ferrers", "bipsand.motzkin", "bipsand.polyomino")
+# modules that no small check, level, stabilize or simulate command needs
+_UNUSED = ("bipsand.enumeration", "bipsand.ferrers", "bipsand.motzkin", "bipsand.polyomino",
+           "bipsand._kernels")
 
 
 def _loaded_after_main(argv, modules):
@@ -21,6 +25,32 @@ def _loaded_after_main(argv, modules):
 
 def test_import_loads_no_submodule():
     code = "import sys, bipsand; print([m for m in sys.modules if m.startswith('bipsand.')])"
+    assert _fresh(code) == "[]\n"
+
+
+def test_only_the_kernels_module_imports_numpy():
+    # numpy, and every name np, live in bipsand._kernels alone, so a process
+    # that runs no kernel neither loads numpy nor compiles the kernels; no
+    # kernel takes numpy as a parameter
+    importers, np_names = [], []
+    for path in sorted(pathlib.Path(SRC, "bipsand").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                importers += [path.name for a in node.names if a.name.split(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                importers.append(path.name)
+            elif isinstance(node, ast.arg) and node.arg == "np":
+                np_names.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and node.id == "np" and path.name != "_kernels.py":
+                np_names.append(f"{path.name}:{node.lineno}")
+    assert (importers, np_names) == (["_kernels.py"], [])
+
+
+def test_importing_the_model_loads_neither_numpy_nor_the_kernels():
+    code = (
+        "import sys, bipsand.model, bipsand.recurrence, bipsand.cli\n"
+        "print([m for m in ('numpy', 'bipsand._kernels') if m in sys.modules])"
+    )
     assert _fresh(code) == "[]\n"
 
 
@@ -92,7 +122,8 @@ def test_a_long_run_imports_numpy_once_it_has_run_that_far():
     # 3 states read from a 10^6-step trajectory leave numpy unloaded; a run
     # past _BLOCK_IMPORT steps loads it at that step and draws the rest of its
     # bits from the table, the same bits as with numpy loaded throughout or
-    # with no table at all
+    # with no table at all.  The table is counted on the kernels module as
+    # the gate hands it over, since importing it earlier would load numpy
     code = (
         "import sys\n"
         "from itertools import islice\n"
@@ -101,8 +132,17 @@ def test_a_long_run_imports_numpy_once_it_has_run_that_far():
         "shape = BipartiteShape(2, 2)\n"
         "list(islice(trajectory('ssm', shape, 10**6, 1), 3))\n"
         "print('numpy' in sys.modules)\n"
-        "table, calls = model._table_bits, []\n"
-        "model._table_bits = lambda *args: calls.append(1) or table(*args)\n"
+        "gate, calls = model._numpy, []\n"
+        "def counted(*args):\n"
+        "    calls.append(1)\n"
+        "    return table(*args)\n"
+        "def counting_gate(*args):\n"
+        "    global table\n"
+        "    k = gate(*args)\n"
+        "    if k is not None and k.table_bits is not counted:\n"
+        "        table, k.table_bits = k.table_bits, counted\n"
+        "    return k\n"
+        "model._numpy = counting_gate\n"
         "steps = model._BLOCK_IMPORT + 500\n"
         "cold = simulate('ssm', shape, steps, 3)\n"
         "print('numpy' in sys.modules, len(calls))\n"

@@ -459,7 +459,7 @@ _BENCH_PILES = (
 
 class TestRounds:
     """A stock ToppleOracle below p = 1 stabilizes in side sweeps (see
-    model._sweeps): each top fires until it is stable, then each bottom,
+    _kernels.sweeps): each top fires until it is stable, then each bottom,
     round after round.  Both settings below must give the naive oracle's
     state and firing counts: the gate forced on (_SWEEP_MIN = 1) and the
     default, which keeps small piles on the stack."""
@@ -467,18 +467,19 @@ class TestRounds:
     @pytest.fixture(params=[1, None], ids=["every-round", "default"])
     def rounds(self, request, monkeypatch):
         """The list of calls of the sweep engine, as they happen."""
+        import bipsand._kernels
         import bipsand.model
 
         if request.param is not None:
             monkeypatch.setattr(bipsand.model, "_SWEEP_MIN", request.param)
         calls = []
-        engine = bipsand.model._sweeps
+        engine = bipsand._kernels.sweeps
 
         def counted(*args):
             calls.append(args)
             return engine(*args)
 
-        monkeypatch.setattr(bipsand.model, "_sweeps", counted)
+        monkeypatch.setattr(bipsand._kernels, "sweeps", counted)
         return calls
 
     def test_matches_naive(self, rounds):
@@ -495,7 +496,7 @@ class TestRounds:
         # every vertex at one to three times its degree, have more unstable
         # slots than the 24 // deg windows a side keeps at 24 bits, so their
         # sides fire in chunks and drop their stable windows
-        import bipsand.model
+        import bipsand._kernels
 
         dense = []
         for m, n, p in ((6, 6, 0.5), (9, 4, 0.3), (3, 12, 0.9), (12, 2, 0.5)):
@@ -504,7 +505,7 @@ class TestRounds:
             oracle = ToppleOracle(m * n, p)
             dense.append((top, bottom, oracle, oracles.naive_stabilize_ssm(top, bottom, oracle.bit)))
         for bits in (24, 256):
-            monkeypatch.setattr(bipsand.model, "_SWEEP_BITS", bits)
+            monkeypatch.setattr(bipsand._kernels, "_SWEEP_BITS", bits)
             for top, bottom, oracle, want in (*_round_cases()[:100], *dense):
                 got, (ft, fb) = stabilize_stochastic(Configuration.from_vectors(top, bottom), oracle)
                 assert (got.top, got.bottom, ft, fb) == want, (top, bottom, oracle, bits)
@@ -521,6 +522,7 @@ class TestRounds:
         # up to twice the degree, and sometimes one heavy vertex.  Every pile
         # sweeps (_SWEEP_MIN = 1), and a duck-typed oracle with the same bits
         # fires it from the stack
+        import bipsand._kernels
         import bipsand.model
 
         def side(k, deg):
@@ -532,12 +534,12 @@ class TestRounds:
             bottom[0] += data.draw(st.integers(40, 200))
         c = Configuration.from_vectors(top, bottom)
         oracle, calls = ToppleOracle(seed, p), []
-        engine = bipsand.model._sweeps
+        engine = bipsand._kernels.sweeps
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bipsand.model, "_SWEEP_MIN", 1)
-            patch.setattr(bipsand.model, "_SWEEP_BITS", bits)
-            patch.setattr(bipsand.model, "_SWEEP_WINDOW", window)
-            patch.setattr(bipsand.model, "_sweeps", lambda *args: calls.append(1) or engine(*args))
+            patch.setattr(bipsand._kernels, "_SWEEP_BITS", bits)
+            patch.setattr(bipsand._kernels, "_SWEEP_WINDOW", window)
+            patch.setattr(bipsand._kernels, "sweeps", lambda *a: calls.append(1) or engine(*a))
             got = stabilize_stochastic(c, oracle)
             assert got == stabilize_stochastic(c, SimpleNamespace(bit=oracle.bit))
         assert len(calls) == (not c.is_stable)
@@ -847,6 +849,7 @@ class TestOneFiringLoop:
     def test_full_probability_chain_runs_on_the_odometer(self, monkeypatch, m, n):
         # every bit is 1 at p = 1, so the ssm chain is the asm chain; with the
         # table's gate at 0, K4,4 would otherwise read its bits from a table
+        import bipsand._kernels
         import bipsand.model
 
         _set_table_gate(monkeypatch, 0, 0)
@@ -858,7 +861,7 @@ class TestOneFiringLoop:
             raise AssertionError("the p = 1 chain fired one firing at a time")
 
         monkeypatch.setattr(bipsand.model, "_settle", refuse)
-        monkeypatch.setattr(bipsand.model, "_table_bits", refuse)
+        monkeypatch.setattr(bipsand._kernels, "table_bits", refuse)
         assert list(simulate("ssm", shape, 300, 5, 1.0).items()) == want_visits
         assert list(trajectory("ssm", shape, 300, 6, 1.0)) == want_states
         assert len(want_visits) > 10
@@ -1145,10 +1148,13 @@ class TestChainIsTheMarkovStepChain:
 
 
 def _set_table_gate(monkeypatch, pays, loads):
-    """Set the pair of _numpy thresholds that the ssm chain's bit table asks with."""
+    """Set the pair of _numpy thresholds that the ssm chain's bit table asks
+    with; the table's blocks span at least pays steps, as the kernel reads it."""
+    import bipsand._kernels
     import bipsand.model
 
     monkeypatch.setattr(bipsand.model, "_BLOCK_MIN", pays)
+    monkeypatch.setattr(bipsand._kernels, "_BLOCK_MIN", pays)
     monkeypatch.setattr(bipsand.model, "_BLOCK_IMPORT", loads)
 
 
@@ -1175,16 +1181,16 @@ class TestChainStackIsTheMarkovStepChain(TestChainIsTheMarkovStepChain):
 def blocks(monkeypatch):
     """The list of the steps each block of the chain's table spans, as they
     are drawn."""
-    import bipsand.model
+    import bipsand._kernels
 
     counts = []
-    below = bipsand.model.below_array
+    below = bipsand._kernels.below_array
 
     def counted(acc, spread_words, threshold):
         counts.append(len(acc))
         return below(acc, spread_words, threshold)
 
-    monkeypatch.setattr(bipsand.model, "below_array", counted)
+    monkeypatch.setattr(bipsand._kernels, "below_array", counted)
     return counts
 
 
@@ -1208,11 +1214,12 @@ class TestChainTable:
 
     def test_later_firings_fall_back_to_bits_below(self, monkeypatch):
         # at p = 0.3 a K2,2 slot often fires more than _FIRST times in a step
+        import bipsand._kernels
         import bipsand.model
 
         _set_table_gate(monkeypatch, 0, 0)
         calls = []
-        below = bipsand.model.bits_below
+        below = bipsand._kernels.bits_below
 
         def counted(*args):
             calls.append(args[2])
@@ -1220,7 +1227,7 @@ class TestChainTable:
 
         shape = BipartiteShape(2, 2)
         want = list(_markov_chain("ssm", shape, 300, 5, 0.3))
-        monkeypatch.setattr(bipsand.model, "bits_below", counted)
+        monkeypatch.setattr(bipsand._kernels, "bits_below", counted)
         assert list(trajectory("ssm", shape, 300, 5, 0.3)) == want
         # called with firing indices from _FIRST on, and only with them
         assert calls and min(calls) == bipsand.model._FIRST

@@ -1,7 +1,6 @@
 """Committed oracle bits: the batched per-firing draw, custom bit sources, and p's range."""
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +12,9 @@ from bipsand import (
     TopplingStallError,
     stabilize_stochastic,
 )
+from bipsand._kernels import table_bits
 from bipsand._prf import DOMAIN_BIT, DOMAIN_STEP, prf64
-from bipsand.model import _firing_bits, _table_bits
+from bipsand.model import _firing_bits
 
 SEEDS = st.one_of(
     st.integers(-(2**80), -1),
@@ -76,7 +76,7 @@ class TestFiringBits:
             vcode, nbs = 2 * (s + 1), [2 * j + 1 for j in range(1, n + 1)]
         else:
             vcode, nbs = 2 * (s - m + 1) + 1, [0] + [2 * i for i in range(1, m + 1)]
-        bits_at = _table_bits(np, prf64(seed, DOMAIN_STEP), 3000, m, n, int(p * 2**64))
+        bits_at = table_bits(prf64(seed, DOMAIN_STEP), 3000, m, n, int(p * 2**64))
         got = bits_at(t)(s, firing)
         want = spec_bits(prf64(seed, DOMAIN_STEP, t), p, vcode, firing, nbs)
         assert [int(b) for b in got] == want

@@ -543,6 +543,21 @@ class TestCountsBelowRejectsNonIntegers:
             counts_below((0, 1.5, 2), 3)
 
 
+class TestCountsBelowRejectsBadBounds:
+    """A bound that is no int, or too large for a list, and a bool, as a
+    bound or as a value, give ValueError, as every integer input does."""
+
+    @pytest.mark.parametrize("bound", [2.5, "3", None, True, False, 10**20])
+    def test_bound(self, bound):
+        with pytest.raises(ValueError):
+            counts_below((0,), bound)
+
+    @pytest.mark.parametrize("values", [(True, False), (0, True), (False,)])
+    def test_bool_values(self, values):
+        with pytest.raises(ValueError):
+            counts_below(values, 2)
+
+
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
@@ -594,13 +609,14 @@ class TestNumpyLoadedLazily:
 
     def test_the_gate(self):
         # _numpy(work, pays, loads): None below pays, and below loads while
-        # numpy is not loaded; numpy itself from loads on, and then from pays on
+        # numpy is not loaded; the kernels, which run on numpy, from loads on,
+        # and then from pays on
         code = (
             "import sys\n"
             "from bipsand.model import _numpy\n"
             "for work in (9, 10, 99, 100, 10, 9):\n"
-            "    np = _numpy(work, 10, 100)\n"
-            "    print(work, None if np is None else np.__name__, 'numpy' in sys.modules)"
+            "    k = _numpy(work, 10, 100)\n"
+            "    print(work, None if k is None else k.np.__name__, 'numpy' in sys.modules)"
         )
         assert _fresh(code).splitlines() == [
             "9 None False", "10 None False", "99 None False",
