@@ -2,7 +2,7 @@
 
 The gate model._numpy hands this module to a call whose work repays it,
 and imports it only then, so a process that runs no kernel neither loads
-numpy nor compiles this module.  Three kernels:
+numpy nor compiles this module.  Three kernels, on plain values:
 
 - sweeps: below p = 1, a stock ToppleOracle's pile sweeps the two sides
   in turn: each vertex of one side fires until it is stable, its bits read
@@ -11,8 +11,8 @@ numpy nor compiles this module.  Three kernels:
   reads the bits of a step's first firings from a table drawn for a block
   of steps at once, one byte a bit, on every shape whose one step's bits
   fit in a block.
-- verdicts: both recurrence verdicts of a configuration, from one int64
-  conversion of each side.
+- verdicts: both recurrence verdicts of two grain sides, from one int64
+  conversion of each side, or None for an unstable side.
 
 fold_array and below_array are _prf's fold and bits_below for many keys at
 once: they compute prf64 values bit for bit as prf64 would.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._prf import _FOLD, DOMAIN_BIT, INIT, bits_below, fold, prf64
-from .model import _BLOCK_BITS, _BLOCK_MIN, _FIRST, Configuration, ToppleOracle, _stall, _table
+from .model import _BLOCK_BITS, _BLOCK_MIN, _FIRST, _stall, _table
 
 # A slot's window of bits covers at most _SWEEP_WINDOW firings, and a side's
 # windows together at most _SWEEP_BITS bits (or one firing of one slot),
@@ -57,9 +57,9 @@ def below_array(acc, spread_w, threshold: int):
     return _mix_array(acc ^ spread_w) < threshold
 
 
-def sweeps(grains: list, m: int, n: int, oracle: ToppleOracle, max_firings: int) -> list:
-    """Stabilize grains with a stock oracle below p = 1, in place; return
-    the firing counts by slot.
+def sweeps(grains: list, m: int, n: int, prefix: int, threshold: int, p, max_firings: int) -> list:
+    """Stabilize grains, in place, with the bits of a stock ToppleOracle of
+    this _prefix, _threshold and p < 1; return the firing counts by slot.
 
     The sides take turns, tops first, each slot firing until it is stable
     given the other side's firings so far, until a turn after the first
@@ -78,8 +78,8 @@ def sweeps(grains: list, m: int, n: int, oracle: ToppleOracle, max_firings: int)
     deg = (n, m + 1)
     codes, *words = _table(m, n)[2:]
     words = [np.array(w, np.uint64) for w in words]
-    below = np.uint64(oracle._threshold)
-    pa = np.array([fold(oracle._prefix, c) for c in codes[:-1]], np.uint64)
+    below = np.uint64(threshold)
+    pa = np.array([fold(prefix, c) for c in codes[:-1]], np.uint64)
     pa = [pa[:m], pa[m:]]
     # by side: each slot's grains and firings at its window's base; each
     # window's slot, position and counts, and rows 0..k-1; the width W
@@ -146,7 +146,7 @@ def sweeps(grains: list, m: int, n: int, oracle: ToppleOracle, max_firings: int)
             bound += int(base[x].sum() + pos[x].sum() + (now[x] // deg[x]).sum())
         grains[:-1] = [*now[0].tolist(), *now[1].tolist()]
         if bound > max_firings:
-            raise _stall(grains, m, n, oracle.p, max_firings)
+            raise _stall(grains, m, n, p, max_firings)
 
     with np.errstate(over="ignore"):
         x = turn = 0
@@ -232,22 +232,19 @@ def table_bits(step: int, steps: int, m: int, n: int, threshold: int):
     return bits_at
 
 
-def verdicts(c: Configuration, op: str) -> None:
-    """Check that c is stable and record both of its verdicts on it, from
-    one int64 conversion of each side.  The arrays are not kept: at 10^7
-    entries they would hold about 160 MB."""
-    m, n = c.shape.m, c.shape.n
+def verdicts(top, bottom, m: int, n: int):
+    """(rowwise, prefixwise): both recurrence verdicts of the grain sides top
+    and bottom of K0_{m,n}, from one int64 conversion of each side; None
+    unless both sides are stable.  The arrays die with the call: at 10^7
+    entries they hold about 160 MB."""
     try:
-        top = np.fromiter(c.top, np.int64, m)
-        bottom = np.fromiter(c.bottom, np.int64, n)
+        top = np.fromiter(top, np.int64, m)
+        bottom = np.fromiter(bottom, np.int64, n)
     except OverflowError:  # a count past int64 is far from stable
-        stable = False
-    else:
-        stable = (not m or top.max() < n) and bottom.max() <= m
-    if not stable:
-        raise ValueError(f"{op} is defined on stable configurations only")
+        return None
+    if m and top.max() >= n or bottom.max() > m:
+        return None
     k = np.cumsum(np.bincount(top, minlength=n))
     hist_b = np.bincount(bottom, minlength=m + 1)
     sorted_b = np.repeat(np.arange(m + 1, dtype=np.int64), hist_b)
-    object.__setattr__(c, "_rowwise", bool(np.all(sorted_b >= k)))
-    object.__setattr__(c, "_prefixwise", bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k))))
+    return bool(np.all(sorted_b >= k)), bool(np.all(np.cumsum(sorted_b) >= np.cumsum(k)))

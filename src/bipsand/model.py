@@ -278,11 +278,11 @@ def _bit_threshold(p) -> int:
 class ToppleOracle:
     """Committed Bernoulli(p) bits keyed by (vertex, firing index, neighbour).
 
-    The bit for a key is a pure function of (seed, p, key), so re-querying a
-    key always gives the same answer.  This makes stochastic stabilization a
-    deterministic function of (configuration, oracle) and, in particular,
-    independent of the toppling order.  The bit is 1 when a 64-bit hash of
-    the key falls below p * 2^64, so p must be at least 2^-64.
+    The bit for a key is a pure function of (seed mod 2^64, p, key), so
+    re-querying a key always gives the same answer.  This makes stochastic
+    stabilization a deterministic function of (configuration, oracle) and,
+    in particular, independent of the toppling order.  The bit is 1 when a
+    64-bit hash of the key falls below p * 2^64, so p must be at least 2^-64.
     """
 
     seed: int
@@ -427,7 +427,8 @@ def stabilize_deterministic(
     B = sum_j floor((b_j + T)/(m+1)).  With t_i = n*q_i + r_i and
     B = n*a + s, the first sum is sum(q) + m*a + #{i : r_i >= n - s}, one
     bisection in the sorted residues.  Both sums rise with their argument,
-    so alternating them from (0, 0) climbs to the least fixed point.
+    so alternating them from a lower bound of B climbs to the least fixed
+    point (see _odometer).
     """
     _check_policy(policy)
     m, n = c.shape.m, c.shape.n
@@ -440,12 +441,22 @@ def stabilize_deterministic(
 def _odometer(top: tuple, bottom: tuple, m: int, n: int) -> tuple:
     """asm's kernel: ((stable top, stable bottom), (top firings, bottom
     firings)) of the grain sides top and bottom of K0_{m,n}, from the firing
-    totals that stabilize_deterministic's docstring describes."""
+    totals that stabilize_deterministic's docstring describes.
+
+    The climb starts at B = max(0, S - m(2n - 1)), S the grain total, so
+    its length does not grow with S.  Let T = F(B) be the first sum and
+    G(T) the second.  With R1 = sum((t_i + B) mod n), at most m(n - 1),
+    and R2 = sum((b_j + T) mod (m + 1)), at most mn,
+    G(F(B)) - B = (S - B - R1 - R2)/(m + 1).  Below the bound that is > 0,
+    so no fixed point lies there, and the climb from the bound still ends
+    at the least fixed point.
+    """
     degb = m + 1
     rt = sorted([t % n for t in top])
     rb = sorted([b % degb for b in bottom])
-    qt, qb = (sum(top) - sum(rt)) // n, (sum(bottom) - sum(rb)) // degb
-    fired_b = 0
+    st, sb = sum(top), sum(bottom)
+    qt, qb = (st - sum(rt)) // n, (sb - sum(rb)) // degb
+    fired_b = max(0, st + sb - m * (2 * n - 1))
     while True:
         a, s = divmod(fired_b, n)
         fired_t = qt + m * (a + 1) - bisect_left(rt, n - s)
@@ -518,7 +529,7 @@ def stabilize_stochastic(
     k = _numpy(first, _SWEEP_MIN, _SWEEP_IMPORT) if stock else None
     # int64 holds every count of the sweeps when it holds the sum of all grains
     if k is not None and sum(grains) < 1 << 63:
-        fires = k.sweeps(grains, m, n, oracle, max_firings)
+        fires = k.sweeps(grains, m, n, oracle._prefix, oracle._threshold, p, max_firings)
     else:
         fires = [0] * (m + n)
         if not _settle(grains, fires, stack, m, n, _firing_bits(oracle, m, n), max_firings):
@@ -621,10 +632,10 @@ def trajectory(
     The grain-landing vertex at each step is drawn from the seed via a key
     domain disjoint from the oracle bits, and each ssm step stabilizes with
     a fresh child oracle derived from (seed, step), so the whole run is a
-    pure function of the arguments: bit for bit the states of chaining
-    markov_step, on one grain list.  max_firings bounds each ssm step's
-    stabilization, which raises TopplingStallError past it.  The arguments
-    are checked at the call, before the first state is drawn.
+    pure function of the arguments, the seed read mod 2^64: bit for bit the
+    states of chaining markov_step, on one grain list.  max_firings bounds
+    each ssm step's stabilization, which raises TopplingStallError past it.
+    The arguments are checked at the call, before the first state is drawn.
     """
     threshold = _check_chain(model, shape, steps, seed, p, max_firings)
     return (Configuration._trusted(shape, *g)

@@ -30,8 +30,8 @@ _NP_MIN = 192
 _NP_IMPORT = 400_000
 
 
-def _require_stable(c: Configuration, op: str) -> None:
-    if not c.is_stable:
+def _require_stable(stable: bool, op: str) -> None:
+    if not stable:
         raise ValueError(f"{op} is defined on stable configurations only")
 
 
@@ -69,15 +69,17 @@ def _dominates(lower: Sequence[int], upper: Sequence[int], rowwise: bool) -> boo
 def _check(c: Configuration, rowwise: bool, op: str) -> bool:
     """Dominance of the sorted bottom side over the k-vector: rowwise for
     asm, prefixwise for ssm; ValueError unless c is stable.  In numpy where
-    the gate _numpy says so, else in pure Python."""
+    the gate _numpy says so, recording both verdicts on c; else in Python."""
     m, n = c.shape.m, c.shape.n
-    # the many tiny checks (census, round trips) ask no gate
-    k = _numpy(m + n, _NP_MIN, _NP_IMPORT) if m + n >= _NP_MIN else None
+    k = _numpy(m + n, _NP_MIN, _NP_IMPORT)
     if k is None:
-        _require_stable(c, op)
+        _require_stable(c.is_stable, op)
         return _dominates(counts_below(c.top, n), sorted(c.bottom), rowwise)
     if c._rowwise is None:
-        k.verdicts(c, op)
+        pair = k.verdicts(c.top, c.bottom, m, n)
+        _require_stable(pair is not None, op)
+        object.__setattr__(c, "_rowwise", pair[0])
+        object.__setattr__(c, "_prefixwise", pair[1])
     return c._rowwise if rowwise else c._prefixwise
 
 
@@ -147,7 +149,7 @@ def forbidden_witness_ssm(c: Configuration) -> ForbiddenWitness | None:
     whose cheapest completion still fits: O(n(m+n)) time, O(m+n) memory.
     ValueError unless c is stable.
     """
-    _require_stable(c, "forbidden witness search")
+    _require_stable(c.is_stable, "forbidden witness search")
     top, bottom = c.top, c.bottom
     lightest = list(accumulate(sorted(bottom)))  # lightest[b-1]: least S_B with |B| = b
     for b in range(1, len(bottom) + 1):
@@ -183,7 +185,7 @@ def forbidden_witness_asm(c: Configuration) -> ForbiddenWitness | None:
     S = {i : t_i < b}, so B takes the first b bottom entries below |S| and
     A the shortest prefix of S longer than every entry of B: O(n(m+n)) time.
     """
-    _require_stable(c, "forbidden witness search")
+    _require_stable(c.is_stable, "forbidden witness search")
     for b in range(1, c.shape.n + 1):
         s = [i for i, t in enumerate(c.top, 1) if t < b]
         b_set = [j for j, u in enumerate(c.bottom, 1) if u < len(s)][:b]

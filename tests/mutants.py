@@ -96,6 +96,9 @@ MUTANTS = (
     Mutant("odometer-fixed-point-loosened", "model.py",
            "        if b_next == fired_b:",
            "        if b_next <= fired_b + 1:", ("tests/test_model.py", "-k", "Odometer")),
+    Mutant("odometer-starts-one-above-its-bound", "model.py",
+           "m * (2 * n - 1)",
+           "(m * (2 * n - 1) - 1)", ("tests/test_model.py", "-k", "Odometer")),
     Mutant("chain-landing-slot-from-t-plus-1", "model.py",
            "s = fold(choice, t) % size",
            "s = fold(choice, t + 1) % size", ("tests/test_cli.py", "-k", "readme")),

@@ -46,6 +46,19 @@ def test_only_the_kernels_module_imports_numpy():
     assert (importers, np_names) == (["_kernels.py"], [])
 
 
+def test_the_kernels_take_plain_values():
+    # _kernels reads no record or oracle class of model, and only recurrence
+    # raises for an unstable configuration
+    import bipsand.model
+    tree = ast.parse(pathlib.Path(SRC, "bipsand", "_kernels.py").read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "model" for a in node.names]
+    assert names and not [a for a in names if isinstance(getattr(bipsand.model, a), type)]
+    raisers = [path.name for path in sorted(pathlib.Path(SRC, "bipsand").glob("*.py"))
+               if "defined on stable configurations only" in path.read_text()]
+    assert raisers == ["recurrence.py"]
+
+
 def test_importing_the_model_loads_neither_numpy_nor_the_kernels():
     code = (
         "import sys, bipsand.model, bipsand.recurrence, bipsand.cli\n"

@@ -328,6 +328,31 @@ class TestOdometer:
         assert grains == stable.total + sum(fb)
         assert sum(ft) + sum(fb) == firings
 
+    def test_piles_past_the_start_bound(self):
+        # the climb starts at B = S - m(2n - 1) when that is >= 0; K3,3's pile
+        # ends at the maximal stable configuration, so its B is that bound
+        rng = random.Random(41)
+        piles = [((10, 1, 4), (9, 9, 13))]
+        while len(piles) < 300:
+            m, n = rng.randint(0, 4), rng.randint(1, 4)
+            top = tuple(rng.randint(0, 6 * n) for _ in range(m))
+            bottom = tuple(rng.randint(0, 6 * m + 6) for _ in range(n))
+            if sum(top) + sum(bottom) >= m * (2 * n - 1):
+                piles.append((top, bottom))
+        for top, bottom in piles:
+            got, (ft, fb) = stabilize_deterministic(Configuration.from_vectors(top, bottom))
+            assert (got.top, got.bottom, ft, fb) == oracles.naive_stabilize_asm(top, bottom)
+        assert sum(stabilize_deterministic(cfg("10,1,4;9,9,13"))[1][1]) == 46 - 3 * 5
+
+    def test_many_tops_and_one_bottom(self):
+        # from 0 the climb took about 10 m iterations here; from its bound, one
+        c = Configuration.from_vectors((10**9,) + (0,) * 59999, (0,))
+        t0 = time.perf_counter()
+        stable, (ft, fb) = stabilize_deterministic(c)
+        assert time.perf_counter() - t0 < 0.15
+        assert stable == Configuration.from_vectors((0,) * 60000, (60000,))
+        assert sum(fb) == 10**9 - 60000
+
 
 def _budget_inputs():
     """Seeded (top, bottom, oracle) inputs, every bottom vertex unstable."""
@@ -696,6 +721,15 @@ class TestChain:
         a = list(trajectory("asm", shape, 60, seed=1))
         b = list(trajectory("asm", shape, 60, seed=2))
         assert a != b
+
+    def test_seeds_are_read_mod_2_to_the_64(self):
+        # prf64 folds each word as (w + 1) * _FOLD mod 2^64
+        shape, c = BipartiteShape(2, 3), cfg("9,0;0,4,0")
+        for a, b in ((3, 3 + 2**64), (-5, 2**64 - 5)):
+            assert stabilize_stochastic(c, ToppleOracle(a)) == stabilize_stochastic(c, ToppleOracle(b))
+            assert list(trajectory("ssm", shape, 40, a)) == list(trajectory("ssm", shape, 40, b))
+            assert simulate("asm", shape, 40, a) == simulate("asm", shape, 40, b)
+        assert list(trajectory("ssm", shape, 40, 3)) != list(trajectory("ssm", shape, 40, 4))
 
     def test_simulate_counts(self):
         shape = BipartiteShape(1, 2)

@@ -287,6 +287,28 @@ class TestLargeInstances:
         assert level(c) == m * (n - 1)
 
 
+class TestVerdictsKernel:
+    """bipsand._kernels.verdicts takes two sides and returns the pair."""
+
+    def test_matches_the_shared_kernel_on_stable_sides(self):
+        from bipsand._kernels import verdicts
+        rng = random.Random(17)
+        for _ in range(300):
+            m, n = rng.randint(0, 9), rng.randint(1, 9)
+            top = tuple(rng.randint(0, n - 1) for _ in range(m))
+            bottom = tuple(rng.randint(rng.randint(0, m), m) for _ in range(n))
+            k, b = counts_below(top, n), sorted(bottom)
+            assert verdicts(top, bottom, m, n) == (_dominates(k, b, True), _dominates(k, b, False))
+
+    @pytest.mark.parametrize("top, bottom", [
+        ((2, 0), (0, 0)), ((0, 0), (0, 3)), ((2**63, 0), (0, 0)), ((0, 0), (0, 2**63)),
+        ((2**63 - 1, 0), (0, 0)),
+    ])
+    def test_none_for_an_unstable_side(self, top, bottom):
+        from bipsand._kernels import verdicts
+        assert verdicts(top, bottom, 2, 2) is None
+
+
 def stable_configs(sizes):
     """Stable configurations whose m+n is drawn from sizes."""
 
